@@ -10,7 +10,9 @@ benchmark measures
 * the throughput of the Monte-Carlo engines on the paper's 10-cluster
   workload: the seed-style scalar reference (fresh cost matrices per
   schedule, scalar selection loops) versus the vectorized per-grid engine and
-  the batched engine that drives whole chunks of grids per NumPy call.
+  the batched engine that drives whole chunks of grids per NumPy call, and
+  how close the end-to-end Monte-Carlo study (``run_simulation_study``,
+  random draws included) comes to the batched kernel alone.
 
 The schedules/sec numbers and per-heuristic timings are also written to
 ``benchmarks/results/BENCH_scheduling.json`` so the trajectory is tracked
@@ -29,6 +31,8 @@ from conftest import bench_iterations, emit, emit_json
 from repro.core.batch import BatchedGridCosts, batched_makespans
 from repro.core.costs import GridCostCache
 from repro.core.registry import PAPER_HEURISTICS, get_heuristic, instantiate
+from repro.experiments.config import SimulationStudyConfig
+from repro.experiments.simulation_study import run_simulation_study
 from repro.topology.generators import RandomGridGenerator
 from repro.utils.rng import RandomStream
 
@@ -93,6 +97,13 @@ def test_monte_carlo_throughput():
     engine shares one :class:`GridCostCache` per grid across all heuristics;
     the batched engine additionally stacks the whole workload and advances
     every grid per NumPy call.
+
+    ``end_to_end_vs_batched_kernel`` divides the grids/s of the whole
+    in-process study on the same workload shape (random draws, chunking and
+    result assembly included) by the grids/s of the batched kernels alone
+    on a prebuilt stack.  Both sides run on the same machine within
+    milliseconds of each other, so machine speed cancels out of the ratio;
+    it reads as the share of study time spent scheduling.
     """
     num_clusters = 10
     # Floor the workload at 100 grids: the batched engine finishes a small
@@ -129,6 +140,23 @@ def test_monte_carlo_throughput():
         results = [batched_makespans(h, stacked, root=0) for h in heuristics]
         assert all(r is not None for r in results)
 
+    stacked = BatchedGridCosts(
+        [GridCostCache.build(grid, MESSAGE_SIZE) for grid in grids]
+    )
+    study = SimulationStudyConfig(
+        cluster_counts=(num_clusters,),
+        iterations=grid_count,
+        heuristics=PAPER_HEURISTICS,
+        message_size=MESSAGE_SIZE,
+    )
+
+    def batched_kernel():
+        for heuristic in heuristics:
+            batched_makespans(heuristic, stacked, root=0)
+
+    def end_to_end():
+        run_simulation_study(study, workers=1)
+
     # Warm up allocators / import costs on a small slice before timing.
     for grid in grids[:3]:
         for heuristic in heuristics:
@@ -141,6 +169,16 @@ def test_monte_carlo_throughput():
     }
     throughput = {name: schedules / seconds for name, seconds in elapsed.items()}
     baseline = throughput["seed_style_scalar"]
+    # Best of several short runs, interleaved so that a slow spell of the
+    # machine hits both sides alike: each run takes tens of milliseconds.
+    best = {"batched_kernel": float("inf"), "end_to_end": float("inf")}
+    for _ in range(5):
+        best["batched_kernel"] = min(best["batched_kernel"], measure(batched_kernel))
+        best["end_to_end"] = min(best["end_to_end"], measure(end_to_end))
+    grids_per_second = {name: grid_count / seconds for name, seconds in best.items()}
+    end_to_end_ratio = (
+        grids_per_second["end_to_end"] / grids_per_second["batched_kernel"]
+    )
 
     lines = [
         f"Monte-Carlo scheduling throughput ({num_clusters} clusters, "
@@ -150,6 +188,9 @@ def test_monte_carlo_throughput():
         lines.append(
             f"  {name:<24} {value:10,.0f} schedules/s   ({value / baseline:5.1f}x)"
         )
+    for name, value in grids_per_second.items():
+        lines.append(f"  {name:<24} {value:10,.0f} grids/s")
+    lines.append(f"  end-to-end / batched kernel: {end_to_end_ratio:.2f}")
     emit("\n".join(lines))
 
     emit_json(
@@ -164,6 +205,8 @@ def test_monte_carlo_throughput():
             "speedup_vs_seed_style": {
                 name: value / baseline for name, value in throughput.items()
             },
+            "grids_per_second": grids_per_second,
+            "end_to_end_vs_batched_kernel": end_to_end_ratio,
         },
     )
 

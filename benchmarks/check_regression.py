@@ -8,6 +8,11 @@ perf wins of past PRs cannot silently rot:
 
 * batched scheduling engine  >= 10x the seed-style scalar path
   (``BENCH_scheduling.json``),
+* end-to-end Monte-Carlo study >= 0.5x the grids/s of the batched kernels
+  alone on the same 10-cluster workload (``BENCH_scheduling.json``,
+  ``end_to_end_vs_batched_kernel`` — drawing the random cost matrices and
+  assembling results must never cost more than the scheduling itself; the
+  ratio is taken on one machine within one run, so box speed cancels out),
 * batched measured sweep     >=  5x the per-run scalar loop
   (``BENCH_practical.json``, replicated section),
 * pipelined runtime          >= 1.5x the pre-runtime worker dispatch
@@ -60,6 +65,11 @@ FLOORS: tuple[tuple[str, tuple[str, ...], float], ...] = (
         "BENCH_scheduling.json",
         ("monte_carlo_throughput", "speedup_vs_seed_style", "batched"),
         10.0,
+    ),
+    (
+        "BENCH_scheduling.json",
+        ("monte_carlo_throughput", "end_to_end_vs_batched_kernel"),
+        0.5,
     ),
     (
         "BENCH_practical.json",

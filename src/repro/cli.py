@@ -27,7 +27,7 @@ Worker counts default to the ``REPRO_MC_WORKERS`` / ``REPRO_PRACTICAL_WORKERS``
 environment variables with the shared ``REPRO_WORKERS`` fallback; the fan-out
 lane defaults to ``REPRO_EXECUTOR`` (see ``--executor``: threads skip
 shipping entirely, processes ship through the study runtime — shared memory
-when available, see ``--transport``).
+when available, see ``practical --transport``).
 
 Every option's help string states its effective default; ``tests/test_cli.py``
 asserts help text and parser defaults stay in sync.
@@ -69,9 +69,9 @@ def _add_executor_option(sub_parser: argparse.ArgumentParser) -> None:
         choices=("auto", "thread", "process", "remote"),
         default=None,
         help="worker fan-out lane: threads read parent arrays in place (no "
-        "shipping), processes ship via --transport, remote ships chunks to "
-        "the worker agents of --hosts; auto picks threads for small batches "
-        "(default: REPRO_EXECUTOR, then auto)",
+        "shipping), processes ship to a local worker pool, remote ships "
+        "chunks to the worker agents of --hosts; auto picks threads for small "
+        "batches (default: REPRO_EXECUTOR, then auto)",
     )
     sub_parser.add_argument(
         "--hosts",
@@ -149,7 +149,11 @@ def _build_parser() -> argparse.ArgumentParser:
         help="random-grid generator seed (default: 1)",
     )
 
-    simulate = sub.add_parser("simulate", help="run a Monte-Carlo study (Figures 1/2)")
+    simulate = sub.add_parser(
+        "simulate",
+        help="run a Monte-Carlo study (Figures 1/2): random Table 2 cost "
+        "matrices drawn per seed, scheduled by the batched kernels",
+    )
     simulate.add_argument(
         "--iterations",
         type=int,
@@ -182,19 +186,12 @@ def _build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=None,
-        help="fan the Monte-Carlo chunks out over this many workers "
-        "(default: REPRO_MC_WORKERS, then REPRO_WORKERS, then in-process)",
+        help="fan the Monte-Carlo chunks out over this many workers; every "
+        "lane ships chunk seeds and each worker draws its chunks' cost "
+        "matrices itself (default: REPRO_MC_WORKERS, then REPRO_WORKERS, "
+        "then in-process)",
     )
     _add_executor_option(simulate)
-    simulate.add_argument(
-        "--transport",
-        choices=("auto", "shm", "pickle"),
-        default=None,
-        help="ship the stacked (K, n, n) cost matrices to process workers "
-        "over this transport instead of letting workers regenerate grids "
-        "from seeds (default: seed shipping; auto = shared memory when "
-        "available)",
-    )
 
     practical = sub.add_parser(
         "practical", help="run the predicted-vs-measured study (Figures 5/6)"
@@ -577,7 +574,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         config,
         workers=args.workers,
         executor=args.executor,
-        transport=args.transport,
         hosts=args.hosts,
     )
     series = {

@@ -82,23 +82,11 @@ class BatchedGridCosts:
         self.broadcast = np.stack([cache.broadcast for cache in caches])
         self._transfer_plus_broadcast: np.ndarray | None = None
 
-    def to_arrays(self) -> dict[str, np.ndarray]:
-        """The four stacked matrices, ready for an
-        :class:`~repro.runtime.transport.ArrayShipment` (the derived
-        ``transfer_plus_broadcast`` stays lazy — it is cheaper to recompute
-        than to ship)."""
-        return {
-            "gap": self.gap,
-            "latency": self.latency,
-            "transfer": self.transfer,
-            "broadcast": self.broadcast,
-        }
-
     @classmethod
     def from_arrays(cls, arrays: dict[str, np.ndarray]) -> "BatchedGridCosts":
-        """Rebuild a stack from :meth:`to_arrays` output (zero-copy: the
-        arrays — typically views into a shared-memory shipment — are adopted,
-        not copied)."""
+        """Adopt ready-made ``gap``/``latency``/``transfer``/``broadcast``
+        stacks without copying them — the Monte-Carlo study's path, fed by
+        :meth:`repro.topology.generators.RandomGridGenerator.cost_stacks`."""
         stack = cls.__new__(cls)
         stack.gap = arrays["gap"]
         stack.latency = arrays["latency"]

@@ -93,25 +93,23 @@ def run_hit_rate_study(
     *,
     workers: int | None = None,
     executor: str | None = None,
-    transport: str | None = None,
     pool=None,
     hosts: str | None = None,
 ) -> HitRateResult:
     """Run a Monte-Carlo study and derive the Figure 4 hit-rate analysis.
 
-    The underlying study uses the batched scheduling engine and shared
-    per-grid cost caches; ``workers`` optionally fans the iterations out over
-    the persistent runtime pool (``None`` consults ``REPRO_MC_WORKERS``),
-    ``executor`` picks the execution lane (``None`` consults
-    ``REPRO_EXECUTOR``; the remote lane reads its host list from ``hosts`` /
-    ``REPRO_HOSTS``) and ``transport`` selects the seed- or stack-shipping
-    driver (see :func:`run_simulation_study`).
+    The underlying study draws each chunk's cost stacks straight from its
+    seeds and schedules them with the batched engine; ``workers`` optionally
+    fans the chunks out over the persistent runtime pool (``None`` consults
+    ``REPRO_MC_WORKERS``) and ``executor`` picks the execution lane (``None``
+    consults ``REPRO_EXECUTOR``; the remote lane reads its host list from
+    ``hosts`` / ``REPRO_HOSTS``).  Every lane ships chunk seeds only and is
+    bit-identical (see :func:`run_simulation_study`).
     """
     study = run_simulation_study(
         config,
         workers=workers,
         executor=executor,
-        transport=transport,
         pool=pool,
         hosts=hosts,
     )

@@ -17,7 +17,7 @@ the subsystem that removes them, shared by every study driver and the CLI:
   count);
 * :mod:`repro.runtime.transport` —
   :class:`~repro.runtime.transport.ArrayShipment`, zero-copy shipping of
-  ``(K, n, n)`` cost stacks and compiled program arrays through
+  compiled program arrays through
   :mod:`multiprocessing.shared_memory` (pickle fallback on platforms
   without it); process lane only — the thread lane needs no transport;
 * :mod:`repro.runtime.chunking` — cost-aware chunk sizing

@@ -13,16 +13,15 @@ exactly that across back-to-back studies on one pool.
 contract served by threads in the parent process.  Its win is that threads
 share the parent's address space, so the lane skips
 :class:`~repro.runtime.transport.ArrayShipment` entirely: workers read the
-parent's compiled arrays and cost stacks **in place** — no pickling, no
-shared-memory segment, no per-chunk decode, no cross-process result
-round-trip.  The measured-execution hot loop is largely Python and holds
-the GIL on today's CPython, so the lane buys *saved shipping*, not parallel
-compute — which is exactly why ``executor="auto"`` (see
-:mod:`repro.runtime.chunking`) routes only small batches here: on a batch
-too small to amortise shipping, zero shipping wins outright (a
-free-threaded build would move that crossover sharply upward).  Both lanes
-are bit-identical because the per-task seed-derivation contract is
-lane-independent.
+parent's compiled arrays **in place** — no pickling, no shared-memory
+segment, no per-chunk decode, no cross-process result round-trip.  The
+measured-execution hot loop is largely Python and holds the GIL on today's
+CPython, so the lane buys *saved shipping*, not parallel compute — which is
+exactly why ``executor="auto"`` (see :mod:`repro.runtime.chunking`) routes
+only small batches here: on a batch too small to amortise shipping, zero
+shipping wins outright (a free-threaded build would move that crossover
+sharply upward).  Both lanes are bit-identical because the per-task
+seed-derivation contract is lane-independent.
 """
 
 from __future__ import annotations
@@ -142,7 +141,7 @@ class ThreadStudyPool(StudyPool):
     """The thread-lane twin of :class:`StudyPool`: same contract, no shipping.
 
     Workers are threads of the parent process, so submitted jobs receive
-    their arguments **by reference** — compiled programs, cost stacks and
+    their arguments **by reference** — compiled programs, chunk seeds and
     result lists cross no process boundary and are never pickled.  On
     CPython the measured hot loop holds the GIL, so the lane's value is the
     shipping it *doesn't* do, not parallel compute; for small batches that

@@ -24,7 +24,7 @@ A subclass provides the protocol on top of the skeleton:
 
 The drain contract is the one PR 8 established for agents and is shared
 verbatim: :meth:`FrameServer.begin_drain` is async-signal-safe (an Event
-set plus a listener close, no locks, callable from a SIGTERM handler),
+set plus a listener shutdown, no locks, callable from a SIGTERM handler),
 after which new connections and new frames bounce ``BUSY`` while admitted
 frames finish and flush; :meth:`FrameServer.drain` then waits for the last
 pending frame.
@@ -262,17 +262,12 @@ class FrameServer:
 
         New connections and new frames are refused ``BUSY`` from this point
         on; frames already admitted keep executing and their results still
-        flush.  Closing the listener kicks :meth:`serve_forever` out of its
-        blocking accept, so the serving thread can proceed to :meth:`drain`
-        and exit cleanly — the foreground-daemon SIGTERM path.
+        flush.  Shutting the listener down kicks :meth:`serve_forever` out of
+        its blocking accept, so the serving thread can proceed to
+        :meth:`drain` and exit cleanly — the foreground-daemon SIGTERM path.
         """
         self._drain.set()
-        listener = self._listener
-        if listener is not None:
-            try:
-                listener.close()
-            except OSError:
-                pass
+        _stop_listening(self._listener)
 
     def drain(self, timeout: float = 30.0) -> bool:
         """Wait for every admitted frame to finish and its result to flush.
@@ -291,11 +286,7 @@ class FrameServer:
     def close(self) -> None:
         """Stop accepting, drop connections, run subclass teardown (idempotent)."""
         self._stopped.set()
-        if self._listener is not None:
-            try:
-                self._listener.close()
-            except OSError:
-                pass
+        _stop_listening(self._listener)
         with self._idle:
             connections = list(self._connections)
         for conn in connections:
@@ -304,3 +295,22 @@ class FrameServer:
             except OSError:
                 pass
         self._on_close()
+
+
+def _stop_listening(listener: socket.socket | None) -> None:
+    """Wake a thread blocked in ``accept()`` on ``listener``, then close it.
+
+    ``close()`` alone does not interrupt an ``accept()`` already blocked in
+    another thread on Linux; ``shutdown(SHUT_RDWR)`` does, so
+    :meth:`FrameServer.serve_forever` returns promptly.
+    """
+    if listener is None:
+        return
+    try:
+        listener.shutdown(socket.SHUT_RDWR)
+    except OSError:
+        pass
+    try:
+        listener.close()
+    except OSError:
+        pass

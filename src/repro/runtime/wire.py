@@ -41,9 +41,9 @@ the wire protocol bridges machines, the shared-memory transport still does
 the last hop inside each one.
 
 Frames at least :data:`COMPRESS_MIN_BYTES` long are zlib-compressed when
-that actually shrinks them (cost stacks compress well; already-dense noise
-arrays are sent as-is).  Compression, like everything else in the runtime,
-never changes results — the determinism suite round-trips both paths.
+that actually shrinks them (already-dense noise arrays are sent as-is).
+Compression, like everything else in the runtime, never changes results —
+the determinism suite round-trips both paths.
 
 **Control and timing frames.**  Besides job frames (``{"job": id, "fn":
 name, "args": ...}``) and result frames (``{"job": id, "result": ...}``)

@@ -8,15 +8,36 @@ parameters are drawn uniformly from the ranges of **Table 2**::
     g      100 ms     600 ms
     T       20 ms    3000 ms
 
-At each Monte-Carlo iteration a fresh grid is generated: every ordered pair
-of clusters receives an independent latency and gap draw (the matrices are
-kept symmetric, matching a single physical link per pair), and every cluster
+At each Monte-Carlo iteration a fresh grid is generated: every unordered pair
+of clusters receives one latency and one gap draw (the matrices are
+symmetric, matching a single physical link per pair), and every cluster
 receives an independent intra-cluster broadcast time ``T``.
+
+**Draw-order contract.**  An ``n``-cluster grid consumes exactly
+``n + n(n-1) = n²`` doubles of its stream, taken with a single
+``Generator.random`` call: first the ``n`` cluster ``T`` values in cluster
+order, then one ``(latency, gap)`` pair per cluster pair ``i < j`` in
+row-major order.  Each double ``u`` is scaled as ``lo + (hi - lo) * u``,
+which is bit for bit what a sequential ``Generator.uniform(lo, hi)`` call
+returns, so the contract reproduces grids drawn one value at a time.
+:meth:`RandomGridGenerator.generate` and :meth:`RandomGridGenerator.cost_stacks`
+both go through :meth:`RandomGridGenerator._draw`, the one place that order
+is written down:
+
+* ``generate`` wraps the draw in a :class:`~repro.topology.grid.Grid` (for
+  the simulator, the per-grid engines and the fallback heuristics);
+* ``cost_stacks`` writes the draws of many seeds straight into the
+  ``(K, n, n)`` cost stacks the batched kernels read
+  (:meth:`repro.core.batch.BatchedGridCosts.from_arrays`), without building
+  any grid object — the Monte-Carlo study's hot path.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
+
+import numpy as np
 
 from repro.topology.cluster import Cluster
 from repro.topology.grid import Grid, InterClusterLink
@@ -102,38 +123,107 @@ class RandomGridGenerator:
         self.ranges = ranges
         self.cluster_size = cluster_size
 
+    def _draw(
+        self, num_clusters: int, streams: Sequence[RandomStream]
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """One grid per stream: its ``(T, latency, gap)`` in contract order.
+
+        Row ``k`` of each array comes from ``streams[k]``: ``T`` has one
+        column per cluster, ``latency`` and ``gap`` one column per cluster
+        pair ``i < j`` in row-major order (the order of
+        :func:`numpy.triu_indices`).
+        """
+        ranges = self.ranges
+        n = num_clusters
+        draws = np.stack([stream.generator.random(n * n) for stream in streams])
+        pairs = draws[:, n:]
+        return (
+            _scale(draws[:, :n], ranges.broadcast_min, ranges.broadcast_max),
+            _scale(pairs[:, 0::2], ranges.latency_min, ranges.latency_max),
+            _scale(pairs[:, 1::2], ranges.gap_min, ranges.gap_max),
+        )
+
     def generate(self, num_clusters: int, stream: RandomStream) -> Grid:
         """Draw one random grid with ``num_clusters`` clusters.
 
         Every unordered cluster pair receives one latency and one gap draw
         (used in both directions); every cluster receives one ``T`` draw.
+        The shared ``stream`` advances by exactly the draws of one grid.
         """
-        if isinstance(num_clusters, bool) or not isinstance(num_clusters, int):
-            raise TypeError("num_clusters must be an int")
-        if num_clusters < 1:
-            raise ValueError(f"num_clusters must be >= 1, got {num_clusters}")
+        _check_num_clusters(num_clusters)
         if not isinstance(stream, RandomStream):
             raise TypeError("stream must be a RandomStream")
-        ranges = self.ranges
+        broadcast, latency, gap = (
+            values[0] for values in self._draw(num_clusters, [stream])
+        )
         clusters = [
             Cluster(
                 cluster_id=index,
                 name=f"cluster{index}",
                 size=self.cluster_size,
-                fixed_broadcast_time=stream.uniform(
-                    ranges.broadcast_min, ranges.broadcast_max
-                ),
+                fixed_broadcast_time=value,
             )
-            for index in range(num_clusters)
+            for index, value in enumerate(broadcast.tolist())
         ]
-        links: dict[tuple[int, int], InterClusterLink] = {}
-        for i in range(num_clusters):
-            for j in range(i + 1, num_clusters):
-                links[(i, j)] = InterClusterLink.from_values(
-                    latency=stream.uniform(ranges.latency_min, ranges.latency_max),
-                    gap=stream.uniform(ranges.gap_min, ranges.gap_max),
-                )
+        rows, columns = np.triu_indices(num_clusters, 1)
+        links = {
+            (i, j): InterClusterLink.from_values(latency=pair_latency, gap=pair_gap)
+            for i, j, pair_latency, pair_gap in zip(
+                rows.tolist(), columns.tolist(), latency.tolist(), gap.tolist()
+            )
+        }
         return Grid(clusters, links, name=f"random-{num_clusters}-clusters")
+
+    def cost_stacks(
+        self, num_clusters: int, seeds: Sequence[int]
+    ) -> dict[str, np.ndarray]:
+        """The cost matrices of the grids drawn from ``seeds``, stacked.
+
+        Grid ``k`` is the one :meth:`generate` draws from
+        ``RandomStream(seeds[k])``; the result holds read-only symmetric
+        ``(K, n, n)`` ``gap``, ``latency`` and ``transfer`` (their sum)
+        stacks with zero diagonals and the ``(K, n)`` ``broadcast`` stack —
+        the input of :meth:`repro.core.batch.BatchedGridCosts.from_arrays`.
+        The values equal a :class:`~repro.core.costs.GridCostCache` of the
+        generated grid at any message size (Table 2 gaps ignore the size),
+        including ``T = 0`` for single-node clusters.
+        """
+        _check_num_clusters(num_clusters)
+        if not seeds:
+            raise ValueError("cost_stacks needs at least one seed")
+        n = num_clusters
+        broadcast, pair_latency, pair_gap = self._draw(
+            n, [RandomStream(seed=seed) for seed in seeds]
+        )
+        if self.cluster_size == 1:
+            broadcast[:] = 0.0  # Cluster.broadcast_time of a lone coordinator
+        rows, columns = np.triu_indices(n, 1)
+        latency = np.zeros((len(seeds), n, n))
+        gap = np.zeros((len(seeds), n, n))
+        for stack, values in ((latency, pair_latency), (gap, pair_gap)):
+            stack[:, rows, columns] = values
+            stack[:, columns, rows] = values
+        stacks = {
+            "gap": gap,
+            "latency": latency,
+            "transfer": gap + latency,
+            "broadcast": broadcast,
+        }
+        for array in stacks.values():
+            array.setflags(write=False)
+        return stacks
+
+
+def _scale(draws: np.ndarray, low: float, high: float) -> np.ndarray:
+    """``low + (high - low) * u``: ``Generator.uniform``'s own arithmetic."""
+    return float(low) + (float(high) - float(low)) * draws
+
+
+def _check_num_clusters(num_clusters: int) -> None:
+    if isinstance(num_clusters, bool) or not isinstance(num_clusters, int):
+        raise TypeError("num_clusters must be an int")
+    if num_clusters < 1:
+        raise ValueError(f"num_clusters must be >= 1, got {num_clusters}")
 
 
 def make_uniform_grid(

@@ -213,6 +213,14 @@ class TestExecutorFlag:
         with pytest.raises(SystemExit):
             main(["practical", "--executor", "carrier-pigeon"])
 
+    def test_simulate_has_no_transport_flag(self, capsys):
+        """Monte-Carlo chunks always ship as seeds; the stack-shipping
+        ``--transport`` flag is rejected as unknown."""
+        with pytest.raises(SystemExit) as excinfo:
+            main(["simulate", "--iterations", "2", "--transport", "pickle"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --transport" in capsys.readouterr().err
+
 
 class TestConnectTimeoutKnob:
     """The connect/handshake budget: CLI flag -> env var -> resolver."""

@@ -478,29 +478,35 @@ class TestPipelinedDriver:
             executor.submit([])
 
 
-class TestSimulationStudyTransports:
-    """Seed-shipping vs stack-shipping Monte-Carlo drivers are bit-identical."""
+class TestSimulationStudyLanes:
+    """Seed shipping — the one Monte-Carlo driver — is bit-identical to the
+    in-process study on every lane (the remote lane: TestRemoteLane)."""
 
     CONFIG = dict(cluster_counts=(3, 5), iterations=40, seed=23)
 
-    @pytest.mark.parametrize("transport", TRANSPORT_PARAMS)
-    def test_stack_shipping_matches_inline(self, transport, pool):
+    @pytest.mark.parametrize("lane", ["thread", "process"])
+    def test_seed_shipping_matches_inline(self, lane, pool, thread_pool):
         config = SimulationStudyConfig(**self.CONFIG)
-        inline = run_simulation_study(config)
-        shipped = run_simulation_study(config, workers=2, transport=transport)
+        inline = run_simulation_study(config, workers=1)
+        shipped = run_simulation_study(
+            config, workers=2, pool={"thread": thread_pool, "process": pool}[lane]
+        )
         assert np.array_equal(inline.makespans, shipped.makespans)
 
-    def test_stack_shipping_with_fallback_heuristic(self, pool):
-        """A heuristic without a batched kernel routes its chunks through the
-        seed-shipping path; results must still be bit-identical."""
+    @pytest.mark.parametrize("lane", ["thread", "process"])
+    def test_seed_shipping_with_fallback_heuristic(self, lane, pool, thread_pool):
+        """A heuristic without a batched kernel schedules grids generated from
+        the chunk's seeds next to the drawn stacks; still bit-identical."""
         config = SimulationStudyConfig(
             cluster_counts=(3,),
             iterations=12,
             seed=23,
             heuristics=("ecef", "optimal"),
         )
-        inline = run_simulation_study(config)
-        shipped = run_simulation_study(config, workers=2, transport="pickle")
+        inline = run_simulation_study(config, workers=1)
+        shipped = run_simulation_study(
+            config, workers=2, pool={"thread": thread_pool, "process": pool}[lane]
+        )
         assert np.array_equal(inline.makespans, shipped.makespans)
 
 
@@ -1355,15 +1361,18 @@ class TestRemoteLane:
         assert np.array_equal(inline.baseline_measured, remote.baseline_measured)
         assert np.array_equal(inline.predicted, remote.predicted)
 
-    def test_simulation_study_seed_and_stack_shipping(self, remote_pool):
+    def test_simulation_study_seed_shipping(self, remote_pool):
         config = SimulationStudyConfig(cluster_counts=(3, 4), iterations=24, seed=11)
-        inline = run_simulation_study(config)
+        inline = run_simulation_study(config, workers=1)
         seeds = run_simulation_study(config, workers=2, pool=remote_pool)
         assert np.array_equal(inline.makespans, seeds.makespans)
-        stacks = run_simulation_study(
-            config, workers=2, pool=remote_pool, transport="pickle"
+        fallback = SimulationStudyConfig(
+            cluster_counts=(3,), iterations=8, seed=11, heuristics=("ecef", "optimal")
         )
-        assert np.array_equal(inline.makespans, stacks.makespans)
+        assert np.array_equal(
+            run_simulation_study(fallback, workers=1).makespans,
+            run_simulation_study(fallback, workers=2, pool=remote_pool).makespans,
+        )
 
     def test_scatter_study(self, heterogeneous_grid, remote_pool):
         config = PracticalStudyConfig(**self.COLLECTIVE)

@@ -28,6 +28,7 @@ import pytest
 from repro.core.costs import GridCostCache
 from repro.core.registry import get_heuristic
 from repro.runtime import wire
+from repro.runtime.remote import AgentServer
 from repro.runtime.service import (
     ScheduleClient,
     ScheduleService,
@@ -61,6 +62,7 @@ def running_service(**kwargs):
     finally:
         server.close()
         thread.join(timeout=5)
+        assert not thread.is_alive(), "close() left serve_forever running"
 
 
 def inline_schedule(spec, message_size, heuristic, root=0):
@@ -502,6 +504,28 @@ class TestServiceConcurrency:
                 release.set()
                 inflight.close()
                 peer.close()
+
+
+class TestServingTeardown:
+    """Both FrameServer daemons leave ``serve_forever`` as soon as they stop
+    listening — no accept thread outlives ``close()`` or ``begin_drain()``."""
+
+    @pytest.mark.parametrize("make_server", [ScheduleService, AgentServer])
+    @pytest.mark.parametrize("stop", ["close", "begin_drain"])
+    def test_stop_returns_serve_forever_promptly(self, make_server, stop):
+        server = make_server(port=0)
+        server.bind()
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        try:
+            time.sleep(0.05)  # let the thread block in accept()
+            started = time.monotonic()
+            getattr(server, stop)()
+            thread.join(timeout=3)
+            assert not thread.is_alive()
+            assert time.monotonic() - started < 0.5
+        finally:
+            server.close()
 
 
 def _spawn_service_daemon(*extra: str) -> tuple[subprocess.Popen, tuple[str, int]]:

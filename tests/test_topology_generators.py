@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from repro.core.batch import BatchedGridCosts
+from repro.core.costs import GridCostCache
 from repro.topology.generators import (
     PAPER_PARAMETER_RANGES,
     ParameterRanges,
@@ -112,3 +116,109 @@ class TestUniformGrid:
     def test_rejects_negative_parameters(self):
         with pytest.raises(ValueError):
             make_uniform_grid(3, latency=-1.0)
+
+
+@st.composite
+def _ranges(draw):
+    """Random ``ParameterRanges``, zero-width ranges included."""
+    bounds = []
+    for _ in range(3):
+        low = draw(st.floats(0.0, 5.0, allow_nan=False))
+        width = draw(st.sampled_from([0.0, 1e-9, 0.5, 3.0]))
+        bounds += [low, low + width]
+    ranges = ParameterRanges(*bounds)
+    if draw(st.booleans()):
+        ranges = ranges.scaled_broadcast(draw(st.sampled_from([0.0, 0.1, 2.0])))
+    return ranges
+
+
+def _sequential_draw(num_clusters, stream, ranges):
+    """The historical draw: one ``uniform`` call per value, in contract order."""
+    broadcast = [
+        stream.uniform(ranges.broadcast_min, ranges.broadcast_max)
+        for _ in range(num_clusters)
+    ]
+    links = {}
+    for i in range(num_clusters):
+        for j in range(i + 1, num_clusters):
+            latency = stream.uniform(ranges.latency_min, ranges.latency_max)
+            links[(i, j)] = (latency, stream.uniform(ranges.gap_min, ranges.gap_max))
+    return broadcast, links
+
+
+class TestDrawContract:
+    """``cost_stacks`` and ``generate`` read one draw, in one order."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        num_clusters=st.integers(1, 50),
+        ranges=_ranges(),
+        cluster_size=st.sampled_from([1, 2, 16]),
+        seeds=st.lists(st.integers(0, 2**63 - 1), min_size=1, max_size=3),
+        message_size=st.sampled_from([0.0, 1.0, 1_048_576.0]),
+    )
+    def test_stacks_equal_generated_grid_caches(
+        self, num_clusters, ranges, cluster_size, seeds, message_size
+    ):
+        generator = RandomGridGenerator(ranges, cluster_size=cluster_size)
+        stacks = generator.cost_stacks(num_clusters, seeds)
+        reference = BatchedGridCosts(
+            [
+                GridCostCache.build(
+                    generator.generate(num_clusters, RandomStream(seed)),
+                    message_size,
+                )
+                for seed in seeds
+            ]
+        )
+        assert set(stacks) == {"gap", "latency", "transfer", "broadcast"}
+        for key, array in stacks.items():
+            assert np.array_equal(array, getattr(reference, key)), key
+            assert not array.flags.writeable
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        num_clusters=st.integers(1, 12),
+        ranges=_ranges(),
+        seed=st.integers(0, 2**63 - 1),
+    )
+    def test_generate_matches_sequential_uniform_calls(
+        self, num_clusters, ranges, seed
+    ):
+        """A shared stream ends where the one-value-at-a-time draw ended,
+        so a second grid from it matches too."""
+        generator = RandomGridGenerator(ranges)
+        shared, sequential = RandomStream(seed), RandomStream(seed)
+        for _ in range(2):
+            grid = generator.generate(num_clusters, shared)
+            broadcast, links = _sequential_draw(num_clusters, sequential, ranges)
+            assert grid.broadcast_times(0.0) == broadcast
+            for (i, j), (latency, gap) in links.items():
+                assert grid.latency(i, j) == latency
+                assert grid.gap(i, j, 0.0) == gap
+        assert shared.state == sequential.state
+
+    def test_pinned_values(self):
+        """Literal draws of seed 7, fixed independently of the implementation."""
+        stacks = RandomGridGenerator().cost_stacks(4, [7])
+        assert stacks["broadcast"][0].tolist() == [
+            1.8827844904819075,
+            2.693697126889335,
+            2.3315433569306765,
+            0.6911174261719638,
+        ]
+        for (i, j), latency, gap in (
+            ((0, 1), 0.005202327988757156, 0.5367767226981309),
+            ((0, 3), 0.012158972002528644, 0.3339674764218604),
+            ((2, 3), 0.008063675625411345, 0.37674867603724627),
+        ):
+            for a, b in ((i, j), (j, i)):
+                assert stacks["latency"][0, a, b] == latency
+                assert stacks["gap"][0, a, b] == gap
+                assert stacks["transfer"][0, a, b] == latency + gap
+        assert not stacks["latency"][0].diagonal().any()
+
+    def test_rejects_empty_seed_list(self):
+        with pytest.raises(ValueError, match="seed"):
+            RandomGridGenerator().cost_stacks(3, [])
+
