@@ -1,28 +1,21 @@
 """End-to-end throughput of the study runtime (pipelined practical sweep).
 
-PR 1 and PR 2 made each *stage* of a study fast; this benchmark measures the
-orchestration taxes the runtime layer removes.  The workload is the full
-Table 3 practical sweep (7 heuristics + baseline x 10 sizes, predictions
-included), end to end, with ``workers=2``:
+The workload is the full Table 3 practical sweep (7 heuristics + baseline x
+10 sizes, predictions included), end to end:
 
-* **pr2_dispatch** — the PR 2 sequential path: construct-then-measure with
-  the pre-runtime worker dispatch (``transport="legacy"``: a fresh
-  ``multiprocessing.Pool`` spawned per call, the grid and tasks re-pickled
-  per chunk, programs compiled in every worker);
-* **runtime_sequential** — construct-then-measure, but compiled once in the
-  parent, shipped zero-copy (shared memory when available) to the persistent
-  :class:`~repro.runtime.pool.StudyPool`;
-* **runtime_pipelined** — the full runtime driver: each size's batch is
-  shipped for measurement while the next size's schedules construct;
-* **inline** — ``workers=0`` for context (on a single-core box the pool can
-  only lose; on real hardware the pipelined driver overlaps).
+* **runtime_pipelined** — ``workers=2``: each size's batch is compiled once
+  in the parent, shipped zero-copy (shared memory when available) to the
+  persistent :class:`~repro.runtime.pool.StudyPool` and measured while the
+  next size's schedules construct;
+* **inline** — ``workers=0`` for context (on a small box the pool can only
+  lose on this sweep; on wider hardware the pipelined driver overlaps).
 
-All four produce bit-identical results (asserted below), so the ratios are
-pure overhead removed.  The acceptance floor is **>= 1.5x** for the
-pipelined runtime over the PR 2 dispatch at the same worker count, plain and
-3-replica sweeps alike; results land in
-``benchmarks/results/BENCH_runtime.json`` so the trajectory is tracked
-across PRs (and enforced by ``benchmarks/check_regression.py`` in CI).
+Both produce bit-identical results (asserted below).  The timings are
+recorded in ``benchmarks/results/BENCH_runtime.json`` for the trajectory;
+the gate on this exact pipelined process-lane path is the bounded
+``measured_sweep`` throughput of the end-to-end benchmark (``e2ebench/``).
+The other sections below carry the floors that
+``benchmarks/check_regression.py`` enforces in CI.
 """
 
 from __future__ import annotations
@@ -64,15 +57,13 @@ def _best_of(run, repetitions: int) -> float:
 
 
 def test_pipelined_end_to_end():
-    """Full practical sweep: pipelined runtime vs the PR 2 worker dispatch."""
+    """Full practical sweep: pipelined runtime vs the in-process sweep."""
     config = PracticalStudyConfig(noise_sigma=NOISE_SIGMA, seed=SEED)
     get_pool(WORKERS)  # the persistent pool, created once and reused below
 
     variants = {
-        "inline": dict(workers=0, pipeline=False),
-        "pr2_dispatch": dict(workers=WORKERS, pipeline=False, transport="legacy"),
-        "runtime_sequential": dict(workers=WORKERS, pipeline=False),
-        "runtime_pipelined": dict(workers=WORKERS, pipeline=True),
+        "inline": dict(workers=0),
+        "runtime_pipelined": dict(workers=WORKERS, executor="process"),
     }
 
     def sweep(replicas: int, options: dict):
@@ -100,10 +91,8 @@ def test_pipelined_end_to_end():
         timings[section] = {
             "replicas": replicas,
             "seconds": seconds,
-            "speedup_vs_pr2": {
-                name: seconds["pr2_dispatch"] / seconds[name]
-                for name in variants
-            },
+            "pipelined_vs_inline": seconds["inline"]
+            / seconds["runtime_pipelined"],
         }
 
     lines = [
@@ -113,10 +102,10 @@ def test_pipelined_end_to_end():
     for section, data in timings.items():
         lines.append(f"  {section} (replicas={data['replicas']}):")
         for name in variants:
-            lines.append(
-                f"    {name:<19} {data['seconds'][name] * 1e3:7.1f} ms   "
-                f"({data['speedup_vs_pr2'][name]:.2f}x vs pr2 dispatch)"
-            )
+            lines.append(f"    {name:<19} {data['seconds'][name] * 1e3:7.1f} ms")
+        lines.append(
+            f"    pipelined {data['pipelined_vs_inline']:.2f}x inline"
+        )
     emit("\n".join(lines))
 
     emit_json(
@@ -132,11 +121,6 @@ def test_pipelined_end_to_end():
         },
         path=BENCH_RUNTIME_JSON_FILE,
     )
-
-    # The acceptance bar: the pipelined runtime must beat the PR 2 dispatch
-    # by at least 1.5x end-to-end at the same worker count.
-    assert timings["plain"]["speedup_vs_pr2"]["runtime_pipelined"] >= 1.5
-    assert timings["replicated"]["speedup_vs_pr2"]["runtime_pipelined"] >= 1.5
 
 
 def test_thread_vs_process_crossover():
@@ -334,22 +318,21 @@ def test_chained_pipeline_throughput():
 
 
 def test_remote_skewed_fleet():
-    """Throughput-proportional routing on a skewed fleet: cost vs count.
+    """Throughput-proportional routing on a skewed fleet.
 
     Two loopback agents, one worker each — but one agent runs with
-    ``--slowdown 8``, emulating a box an eighth as fast.  Both balancing
-    modes drain the same batch of fixed-duration diagnostic jobs:
+    ``--slowdown 8``, emulating a box an eighth as fast.  The pool drains a
+    batch of fixed-duration diagnostic jobs with ETA routing over each
+    agent's estimated throughput, bounded per-agent queues and work
+    stealing, so the fast agent absorbs the slow agent's backlog.
 
-    * **count** — the PR 5 router: lowest in-flight count per worker, so
-      the slow agent receives half the jobs and the drain ends at its pace;
-    * **cost** — the default: ETA routing over each agent's estimated
-      throughput, bounded per-agent queues and work stealing, so the fast
-      agent absorbs the slow agent's backlog as it drains.
-
-    Results are identical either way (asserted); the recorded
-    ``speedup_cost_vs_count`` floor of **>= 1.3x** (enforced by
-    ``check_regression.py``) guarantees weighted routing keeps paying on
-    skewed fleets.
+    The yardstick is a count-balanced router's drain time, modelled rather
+    than run: an even split hands the slow agent ``JOBS / 2`` jobs of
+    ``NAP * SLOWDOWN`` seconds each, and the drain cannot end before the
+    slow agent finishes them.  That model is a lower bound on what a count
+    router takes, so the recorded ``speedup_cost_vs_count_model`` floor of
+    **>= 1.3x** (enforced by ``check_regression.py``) is no looser than a
+    measured cost-vs-count ratio would be.
     """
     from repro.runtime.remote import (
         RemoteStudyPool,
@@ -365,11 +348,9 @@ def test_remote_skewed_fleet():
     slow_process, slow_address = _spawn_loopback_agent(1, slowdown=SLOWDOWN)
     try:
 
-        def drain(balancing: str) -> None:
+        def drain() -> None:
             pool = RemoteStudyPool(
-                hosts=(fast_address, slow_address),
-                balancing=balancing,
-                heartbeat=0.0,
+                hosts=(fast_address, slow_address), heartbeat=0.0
             )
             try:
                 handles = [
@@ -382,13 +363,10 @@ def test_remote_skewed_fleet():
             finally:
                 pool.close()
 
-        for mode in ("count", "cost"):
-            drain(mode)  # warm both paths (agent pools, import caches)
-        seconds = {
-            mode: _best_of(lambda mode=mode: drain(mode), 3)
-            for mode in ("count", "cost")
-        }
-        speedup = seconds["count"] / seconds["cost"]
+        drain()  # warm the agent pools and import caches
+        seconds = _best_of(drain, 3)
+        count_model_seconds = (JOBS / 2) * NAP * SLOWDOWN
+        speedup = count_model_seconds / seconds
     finally:
         for process in (fast_process, slow_process):
             process.terminate()
@@ -397,9 +375,8 @@ def test_remote_skewed_fleet():
     emit(
         f"Remote skewed fleet ({JOBS} x {NAP * 1e3:.0f} ms jobs, "
         f"1 agent at 1/{SLOWDOWN:.0f} speed): "
-        f"count {seconds['count'] * 1e3:7.1f} ms, "
-        f"cost {seconds['cost'] * 1e3:7.1f} ms  "
-        f"(cost {speedup:.2f}x count)"
+        f"cost {seconds * 1e3:7.1f} ms vs count-split model "
+        f"{count_model_seconds * 1e3:7.1f} ms  ({speedup:.2f}x)"
     )
     emit_json(
         "remote_skewed",
@@ -408,13 +385,14 @@ def test_remote_skewed_fleet():
             "job_seconds": NAP,
             "slowdown": SLOWDOWN,
             "agents": 2,
-            "seconds": seconds,
-            "speedup_cost_vs_count": speedup,
+            "seconds_cost": seconds,
+            "count_model_seconds": count_model_seconds,
+            "speedup_cost_vs_count_model": speedup,
         },
         path=BENCH_RUNTIME_JSON_FILE,
     )
-    # The acceptance bar: cost balancing must keep beating count balancing
-    # on a skewed fleet by at least 1.3x.
+    # The acceptance bar: cost balancing must beat an even split's slow-agent
+    # drain on a skewed fleet by at least 1.3x.
     assert speedup >= 1.3
 
 

@@ -15,8 +15,6 @@ perf wins of past PRs cannot silently rot:
   ratio is taken on one machine within one run, so box speed cancels out),
 * batched measured sweep     >=  5x the per-run scalar loop
   (``BENCH_practical.json``, replicated section),
-* pipelined runtime          >= 1.5x the pre-runtime worker dispatch
-  (``BENCH_runtime.json``, plain and replicated sections),
 * thread executor lane       >= 1.1x the process lane on the small-batch
   workload (``BENCH_runtime.json``, thread_vs_process section — the
   shipping-free lane must keep beating shipped fan-out where "auto"
@@ -25,10 +23,12 @@ perf wins of past PRs cannot silently rot:
   practical sweep (``BENCH_runtime.json``, remote_loopback section — wire
   framing and socket hops must never halve the lane's throughput; across
   real machines the lane then adds capacity no local pool has),
-* cost-balanced remote routing >= 1.3x count-based routing on the skewed
-  two-agent fleet (``BENCH_runtime.json``, remote_skewed section —
-  throughput-proportional routing plus work stealing must keep paying when
-  agents differ in speed),
+* cost-balanced remote routing >= 1.3x an even split's drain on the skewed
+  two-agent fleet (``BENCH_runtime.json``, remote_skewed section,
+  ``speedup_cost_vs_count_model`` — the slow agent's ``JOBS/2 * NAP *
+  SLOWDOWN`` seconds under a count split, a lower bound on a count router,
+  over the measured cost-routed drain: throughput-proportional routing plus
+  work stealing must keep paying when agents differ in speed),
 * chaos-hardened remote lane  >= 0.9x the bare lane on a healthy fleet
   (``BENCH_runtime.json``, remote_chaos section — heartbeats, frame
   deadlines, reconnect probation and degradation machinery must stay
@@ -45,6 +45,10 @@ perf wins of past PRs cannot silently rot:
   seeded target draw both engines share by construction, so the ratio
   measures the engines themselves; both are verified bit-identical
   before they are timed).
+
+The pipelined practical sweep carries no ratio floor here: its gate is the
+bounded ``measured_sweep`` throughput of the end-to-end benchmark
+(``e2ebench/``), which runs that exact pipelined process-lane path.
 
 Exit code 0 when every floor holds; 1 with a per-floor report otherwise.
 The summary printed here is also surfaced by the CI ``docs`` job, so doc
@@ -78,18 +82,6 @@ FLOORS: tuple[tuple[str, tuple[str, ...], float], ...] = (
     ),
     (
         "BENCH_runtime.json",
-        ("pipelined_end_to_end", "timings", "plain", "speedup_vs_pr2",
-         "runtime_pipelined"),
-        1.5,
-    ),
-    (
-        "BENCH_runtime.json",
-        ("pipelined_end_to_end", "timings", "replicated", "speedup_vs_pr2",
-         "runtime_pipelined"),
-        1.5,
-    ),
-    (
-        "BENCH_runtime.json",
         ("thread_vs_process", "small_batch", "speedup_thread_vs_process"),
         1.1,
     ),
@@ -100,7 +92,7 @@ FLOORS: tuple[tuple[str, tuple[str, ...], float], ...] = (
     ),
     (
         "BENCH_runtime.json",
-        ("remote_skewed", "speedup_cost_vs_count"),
+        ("remote_skewed", "speedup_cost_vs_count_model"),
         1.3,
     ),
     (

@@ -27,7 +27,7 @@ Worker counts default to the ``REPRO_MC_WORKERS`` / ``REPRO_PRACTICAL_WORKERS``
 environment variables with the shared ``REPRO_WORKERS`` fallback; the fan-out
 lane defaults to ``REPRO_EXECUTOR`` (see ``--executor``: threads skip
 shipping entirely, processes ship through the study runtime — shared memory
-when available, see ``practical --transport``).
+when available, pickle otherwise).
 
 Every option's help string states its effective default; ``tests/test_cli.py``
 asserts help text and parser defaults stay in sync.
@@ -239,13 +239,6 @@ def _build_parser() -> argparse.ArgumentParser:
         default=1,
         help="independent noisy measurements per curve point; the measured "
         "table reports the replica mean (bcast study only; default: 1)",
-    )
-    practical.add_argument(
-        "--transport",
-        choices=("auto", "shm", "pickle"),
-        default=None,
-        help="how compiled program batches reach process workers "
-        "(default: auto — shared memory when available, pickle otherwise)",
     )
 
     chain = sub.add_parser(
@@ -601,7 +594,6 @@ def _cmd_practical(args: argparse.Namespace) -> int:
             config,
             workers=args.workers,
             executor=args.executor,
-            transport=args.transport,
             hosts=args.hosts,
         )
         print(
@@ -615,7 +607,6 @@ def _cmd_practical(args: argparse.Namespace) -> int:
             config,
             workers=args.workers,
             executor=args.executor,
-            transport=args.transport,
             hosts=args.hosts,
         )
         print(
@@ -629,7 +620,6 @@ def _cmd_practical(args: argparse.Namespace) -> int:
         workers=args.workers,
         executor=args.executor,
         replicas=args.replicas,
-        transport=args.transport,
         hosts=args.hosts,
     )
     print(render_table(result.as_table(which="predicted"), title="Predicted completion time (s)"))

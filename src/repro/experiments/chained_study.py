@@ -166,8 +166,6 @@ def run_chained_study(
     workers: int | None = None,
     engine: str = "batched",
     executor: str | None = None,
-    transport: str | None = None,
-    chunking: str = "adaptive",
     hosts: str | None = None,
     pool=None,
 ) -> ChainedStudyResult:
@@ -196,15 +194,10 @@ def run_chained_study(
         ``"auto"`` (default via ``REPRO_EXECUTOR``); see
         :func:`~repro.simulator.batch.execute_programs`.  Chains stay
         atomic on every lane — a warm pipeline never spans two workers or
-        two agents.  Bit-identical either way.
-    transport:
-        Worker shipping transport on the process lane (see
-        :func:`~repro.simulator.batch.execute_programs`).
-    chunking:
-        ``"adaptive"`` (default) balances worker chunks by per-stage message
-        cost — exactly what a mixed scatter/all-to-all pipeline needs, an
-        all-to-all stage costs ~20x a scatter stage — ``"fixed"`` keeps the
-        task-count split.  Bit-identical either way.
+        two agents.  Worker chunks are balanced by per-stage message cost —
+        exactly what a mixed scatter/all-to-all pipeline needs, an
+        all-to-all stage costs ~20x a scatter stage.  Bit-identical either
+        way.
     hosts:
         Remote-lane agent addresses (``"host:port,host:port"``); only
         consulted when the remote lane is engaged.  ``None`` falls back to
@@ -228,7 +221,7 @@ def run_chained_study(
         raise ValueError("stages must not be empty")
     worker_count = resolve_workers(workers, PRACTICAL_WORKERS_ENV_VAR)
     pool, worker_count = engage_remote_lane(
-        pool, executor, workers, worker_count, hosts, transport
+        pool, executor, workers, worker_count, hosts
     )
 
     sequence = list(stages) * repeat
@@ -275,8 +268,6 @@ def run_chained_study(
         workers=worker_count,
         engine=engine,
         executor=executor,
-        transport=transport,
-        chunking=chunking,
         pool=pool,
         hosts=hosts,
     )

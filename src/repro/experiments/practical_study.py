@@ -22,7 +22,7 @@ replicas are first-class: ``replicas=N`` measures every curve point ``N``
 times and the result carries both the per-replica columns and their
 mean/std aggregation.  Every (curve label, size, replica) owns a noise seed
 derived from the config seed, so results are bit-identical regardless of
-engine, driver (pipelined or sequential), transport, execution order,
+engine, driver (pipelined or in-process), shipping path, execution order,
 heuristic-tuple order, pool lifetime or worker count.
 
 Beyond the paper's broadcast figures, the same machinery measures the §8
@@ -216,9 +216,6 @@ def run_practical_study(
     engine: str = "batched",
     executor: str | None = None,
     replicas: int = 1,
-    pipeline: bool | None = None,
-    transport: str | None = None,
-    chunking: str = "adaptive",
     pool=None,
     hosts: str | None = None,
 ) -> PracticalStudyResult:
@@ -245,30 +242,15 @@ def run_practical_study(
         batches framed over sockets to the worker agents named by ``hosts``
         / ``REPRO_HOSTS``, loopback agents otherwise), or ``"auto"``
         (threads for sweeps too small to amortise shipping, processes
-        otherwise; naming a ``transport`` pins auto to processes; auto
-        never picks remote).  ``None`` consults ``REPRO_EXECUTOR``, then
-        defaults to ``"auto"``.  Every lane is bit-identical.
+        otherwise; auto never picks remote).  ``None`` consults
+        ``REPRO_EXECUTOR``, then defaults to ``"auto"``.  Every lane is
+        bit-identical.
     replicas:
         Number of independent noisy measurements per curve point.  The
         result's ``measured`` columns become replica means and the raw
         per-replica columns ride along (``measured_replicas`` /
         ``measured_std``).  One replica reproduces the historical results
         bit for bit.
-    pipeline:
-        ``True`` overlaps schedule construction with measured execution
-        (requires the batched engine; needs ``workers >= 2`` to actually
-        overlap), ``False`` forces the sequential construct-then-measure
-        driver, ``None`` (default) pipelines exactly when a pool is in play
-        and the engine is batched.  Both drivers are bit-identical.
-    transport:
-        How batches reach process workers: ``"auto"`` (default), ``"shm"``,
-        ``"pickle"``, or — sequential driver only — ``"legacy"`` (the
-        pre-runtime dispatch kept as the benchmark baseline).  Ignored on
-        the thread lane, which ships nothing.
-    chunking:
-        ``"adaptive"`` (default) sizes worker chunks from per-task cost and
-        observed wall time; ``"fixed"`` keeps the historical task-count
-        chunking.  Bit-identical either way.
     pool:
         An explicit :class:`~repro.runtime.pool.StudyPool` /
         :class:`~repro.runtime.pool.ThreadStudyPool` /
@@ -279,6 +261,13 @@ def run_practical_study(
         Remote-lane agent addresses (``"host:port,host:port"``); only
         consulted when the remote lane is engaged.  ``None`` falls back to
         ``REPRO_HOSTS``, then to auto-spawned loopback agents.
+
+    With a pool in play and the batched engine, schedule construction is
+    pipelined with measured execution
+    (:class:`~repro.runtime.pipeline.PipelinedExecutor`); otherwise the
+    sweep is built first and measured in one
+    :func:`~repro.simulator.batch.execute_programs` call.  Both drivers are
+    bit-identical.
     """
     config = config if config is not None else PracticalStudyConfig()
     grid = grid if grid is not None else build_grid5000_topology()
@@ -286,22 +275,10 @@ def run_practical_study(
     # a bad setting fails before the prediction sweep, not after it.
     worker_count = resolve_workers(workers, PRACTICAL_WORKERS_ENV_VAR)
     pool, worker_count = engage_remote_lane(
-        pool, executor, workers, worker_count, hosts, transport
+        pool, executor, workers, worker_count, hosts
     )
     _check_engine(engine)
     _check_replicas(replicas)
-    if pipeline and engine != "batched":
-        raise ValueError("pipeline=True requires the batched engine")
-    if pipeline and transport == "legacy":
-        raise ValueError(
-            "pipeline=True cannot ship over transport='legacy' (the legacy "
-            "dispatch is the sequential benchmark baseline)"
-        )
-    use_pipeline = (
-        engine == "batched" and worker_count >= 2 and transport != "legacy"
-        if pipeline is None
-        else bool(pipeline)
-    )
     heuristics = instantiate(config.heuristics)
     sizes = list(config.message_sizes)
     predicted = np.empty((len(sizes), len(heuristics)), dtype=float)
@@ -314,9 +291,9 @@ def run_practical_study(
     network_config = NetworkConfig(noise_sigma=config.noise_sigma, seed=config.seed)
 
     pipelined: PipelinedExecutor | None = None
-    if use_pipeline:
+    if engine == "batched" and worker_count >= 2:
         study_pool = pool
-        if study_pool is None and worker_count >= 2:
+        if study_pool is None:
             # Lane prior: one message per reached node per curve point (the
             # broadcast programs inject ~num_nodes messages each).
             estimated_units = (
@@ -325,16 +302,10 @@ def run_practical_study(
                 * replicas
                 * grid.num_nodes
             )
-            lane = choose_executor(executor, estimated_units, transport=transport)
+            lane = choose_executor(executor, estimated_units)
             study_pool = get_pool(worker_count, kind=lane, hosts=hosts)
         pipelined = PipelinedExecutor(
-            grid,
-            config=network_config,
-            pool=study_pool,
-            transport=transport,
-            chunking=chunking,
-            collect_traces=False,
-            workload="bcast",
+            grid, config=network_config, pool=study_pool, collect_traces=False
         )
 
     # Build the measured sweep size by size.  Each task's noise stream is
@@ -398,8 +369,6 @@ def run_practical_study(
             workers=worker_count,
             engine=engine,
             executor=executor,
-            transport=transport,
-            chunking=chunking,
             pool=pool,
             hosts=hosts,
         )
@@ -484,9 +453,7 @@ def _run_collective_study(
     grid: Grid,
     workers: int | None,
     engine: str,
-    transport: str | None = None,
     executor: str | None = None,
-    chunking: str = "adaptive",
     hosts: str | None = None,
     pool=None,
 ) -> CollectiveStudyResult:
@@ -498,11 +465,11 @@ def _run_collective_study(
     batched executor untouched.  The executor lane and chunk sizes resolve in
     :func:`~repro.simulator.batch.execute_programs` from the built programs'
     exact message counts (an all-to-all task is ~20x a scatter task, so
-    adaptive chunking matters most here).
+    cost-balanced chunking matters most here).
     """
     worker_count = resolve_workers(workers, PRACTICAL_WORKERS_ENV_VAR)
     pool, worker_count = engage_remote_lane(
-        pool, executor, workers, worker_count, hosts, transport
+        pool, executor, workers, worker_count, hosts
     )
     _check_engine(engine)
     sizes = list(config.message_sizes)
@@ -523,8 +490,6 @@ def _run_collective_study(
         workers=worker_count,
         engine=engine,
         executor=executor,
-        transport=transport,
-        chunking=chunking,
         pool=pool,
         hosts=hosts,
     )
@@ -547,8 +512,6 @@ def run_scatter_study(
     workers: int | None = None,
     engine: str = "batched",
     executor: str | None = None,
-    transport: str | None = None,
-    chunking: str = "adaptive",
     hosts: str | None = None,
     pool=None,
 ) -> CollectiveStudyResult:
@@ -562,8 +525,8 @@ def run_scatter_study(
     ``workers`` defaults from ``REPRO_PRACTICAL_WORKERS`` then the shared
     ``REPRO_WORKERS``; ``executor``
     (``"thread"``/``"process"``/``"remote"``/``"auto"``, default from
-    ``REPRO_EXECUTOR``) picks the fan-out lane; ``transport``, ``chunking``,
-    ``hosts`` (default from ``REPRO_HOSTS``) and ``pool`` behave as in
+    ``REPRO_EXECUTOR``) picks the fan-out lane; ``hosts`` (default from
+    ``REPRO_HOSTS``) and ``pool`` behave as in
     :func:`~repro.simulator.batch.execute_programs`.  Results are
     bit-identical for every combination.
     """
@@ -592,8 +555,8 @@ def run_scatter_study(
             (f"Grid-aware [{heuristic.name}]", aware_builder(heuristic))
         )
     return _run_collective_study(
-        "scatter", strategies, config, grid, workers, engine, transport,
-        executor, chunking, hosts, pool,
+        "scatter", strategies, config, grid, workers, engine, executor,
+        hosts, pool,
     )
 
 
@@ -604,8 +567,6 @@ def run_alltoall_study(
     workers: int | None = None,
     engine: str = "batched",
     executor: str | None = None,
-    transport: str | None = None,
-    chunking: str = "adaptive",
     hosts: str | None = None,
     pool=None,
 ) -> CollectiveStudyResult:
@@ -621,8 +582,8 @@ def run_alltoall_study(
     ``workers`` defaults from ``REPRO_PRACTICAL_WORKERS`` then the shared
     ``REPRO_WORKERS``; ``executor``
     (``"thread"``/``"process"``/``"remote"``/``"auto"``, default from
-    ``REPRO_EXECUTOR``) picks the fan-out lane; ``transport``, ``chunking``,
-    ``hosts`` (default from ``REPRO_HOSTS``) and ``pool`` behave as in
+    ``REPRO_EXECUTOR``) picks the fan-out lane; ``hosts`` (default from
+    ``REPRO_HOSTS``) and ``pool`` behave as in
     :func:`~repro.simulator.batch.execute_programs`.  Results are
     bit-identical for every combination.
     """
@@ -636,6 +597,6 @@ def run_alltoall_study(
         ),
     ]
     return _run_collective_study(
-        "alltoall", strategies, config, grid, workers, engine, transport,
-        executor, chunking, hosts, pool,
+        "alltoall", strategies, config, grid, workers, engine, executor,
+        hosts, pool,
     )

@@ -18,16 +18,18 @@ the subsystem that removes them, shared by every study driver and the CLI:
 * :mod:`repro.runtime.transport` —
   :class:`~repro.runtime.transport.ArrayShipment`, zero-copy shipping of
   compiled program arrays through
-  :mod:`multiprocessing.shared_memory` (pickle fallback on platforms
-  without it); process lane only — the thread lane needs no transport;
+  :mod:`multiprocessing.shared_memory`, with a pickle fallback chosen
+  automatically on platforms without it; process lane only — the thread
+  lane ships nothing;
 * :mod:`repro.runtime.chunking` — cost-aware chunk sizing
-  (:func:`~repro.runtime.chunking.partition_by_cost`,
+  (:func:`~repro.runtime.chunking.partition_by_cost`, the in-memory
   :class:`~repro.runtime.chunking.CostModel`) and executor selection
   (:func:`~repro.runtime.chunking.choose_executor`,
   ``executor="thread"|"process"|"auto"``);
 * :mod:`repro.runtime.pipeline` —
   :class:`~repro.runtime.pipeline.PipelinedExecutor`, the overlapped
-  construct/measure driver behind the streaming Table 3 sweep;
+  construct/measure driver the Table 3 sweep uses whenever a pool is in
+  play and the engine is batched;
 * :mod:`repro.runtime.wire` / :mod:`repro.runtime.remote` — the
   **distributed lane** (``executor="remote"``):
   :class:`~repro.runtime.remote.RemoteStudyPool` serves the same
@@ -54,25 +56,19 @@ executor lanes resolve through
 
 from repro.runtime.pool import StudyPool, ThreadStudyPool, get_pool, shutdown_pool
 from repro.runtime.transport import (
-    TRANSPORTS,
     ArrayShipment,
-    resolve_transport,
     shared_memory_available,
     sweep_shipments,
 )
 from repro.runtime.chunking import (
-    CHUNKINGS,
     EXECUTORS,
     CostModel,
     aggregate_unit_costs,
     choose_executor,
     compiled_cost,
-    load_cost_model,
     partition_by_cost,
     program_cost,
     resolve_executor,
-    save_cost_model,
-    save_cost_models,
 )
 from repro.runtime.pipeline import PipelinedExecutor
 from repro.runtime.remote import (
@@ -98,23 +94,17 @@ __all__ = [
     "ThreadStudyPool",
     "get_pool",
     "shutdown_pool",
-    "TRANSPORTS",
     "ArrayShipment",
-    "resolve_transport",
     "shared_memory_available",
     "sweep_shipments",
-    "CHUNKINGS",
     "EXECUTORS",
     "CostModel",
     "aggregate_unit_costs",
     "choose_executor",
     "compiled_cost",
-    "load_cost_model",
     "partition_by_cost",
     "program_cost",
     "resolve_executor",
-    "save_cost_model",
-    "save_cost_models",
     "PipelinedExecutor",
     "AgentServer",
     "RemoteStudyPool",

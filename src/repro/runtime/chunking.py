@@ -28,17 +28,9 @@ partitions of all sizes on either lane are bit-identical (asserted by
 
 from __future__ import annotations
 
-import json
 import math
 import os
-import tempfile
-from pathlib import Path
-from typing import Any, Mapping, Sequence
-
-try:  # POSIX writer lock for the shared on-disk cost cache
-    import fcntl
-except ImportError:  # pragma: no cover - non-POSIX fallback
-    fcntl = None  # type: ignore[assignment]
+from typing import Any, Sequence
 
 #: Valid ``executor=`` values accepted by the runtime entry points and every
 #: study driver: ``"auto"`` (cost-based choice), ``"thread"``
@@ -47,11 +39,6 @@ except ImportError:  # pragma: no cover - non-POSIX fallback
 #: (:class:`~repro.runtime.remote.RemoteStudyPool` — chunks shipped over
 #: sockets to worker agents; never chosen by ``"auto"``, only explicitly).
 EXECUTORS = ("auto", "thread", "process", "remote")
-
-#: Valid ``chunking=`` values: ``"adaptive"`` (cost-balanced chunks, the
-#: default) and ``"fixed"`` (the historical task-count chunking, kept as the
-#: benchmark baseline and for the equivalence suite).
-CHUNKINGS = ("adaptive", "fixed")
 
 #: Environment variable consulted when ``executor=None``; the shared way to
 #: force every study onto one lane (``REPRO_EXECUTOR=thread|process|auto``).
@@ -75,36 +62,12 @@ DEFAULT_UNITS_PER_SECOND = 200_000.0
 #: negligible.
 CHUNKS_PER_WORKER = 4
 
-#: Environment variable naming an opt-in on-disk cost cache (a JSON file).
-#: When set, the pipelined driver restores previously observed
-#: units-per-second on start-up and records its own on finish — so the
-#: *first* submission of a study, local or remote, is split against measured
-#: throughput instead of the :data:`DEFAULT_UNITS_PER_SECOND` prior.  Purely
-#: a performance device: like everything in this module it can never change
-#: results, so a stale, missing or unwritable cache file is always safe.
-COST_CACHE_ENV_VAR = "REPRO_COST_CACHE"
-
 #: A fleet of remote agents is *skewed* when the fastest chunk slot's
 #: estimated throughput is at least this multiple of the slowest's — the
 #: point where weighted (throughput-proportional) chunk splitting starts to
 #: pay for its extra frames.  Below it, agents are near-enough identical
 #: that the historical uniform split behaves the same.
 FLEET_SKEW_MIN = 1.5
-
-
-def cost_model_key(workload: str, num_clusters: int, num_nodes: int) -> str:
-    """The shaped on-disk cost-cache key of one workload.
-
-    Observed units-per-second depends on *what* is being measured — an
-    all-to-all message costs the same unit as a bcast message, but grids of
-    different sizes compile and execute at different per-unit rates.  Keying
-    cache entries by ``(workload label, grid shape)`` keeps a 45-node bcast
-    sweep's throughput from mispricing a 6-node scatter study.  Readers pass
-    the legacy shared ``"pipeline"`` record as a fallback
-    (:func:`load_cost_model`), so cache files written before shaped keys
-    existed still seed the model.
-    """
-    return f"pipeline/{workload}/c{num_clusters}-n{num_nodes}"
 
 
 def resolve_executor(executor: str | None) -> str:
@@ -125,16 +88,13 @@ def choose_executor(
     executor: str | None,
     total_units: float,
     *,
-    transport: str | None = None,
     threshold: float = AUTO_THREAD_MAX_UNITS,
 ) -> str:
     """The concrete lane (``"thread"`` or ``"process"``) for one fan-out.
 
     ``"auto"`` picks the thread lane when the batch's total estimated cost is
     at most ``threshold`` units — a batch that small finishes before process
-    shipping would have amortised — and the process lane otherwise.  Naming a
-    ``transport`` pins ``"auto"`` to the process lane (transports describe
-    process shipping; the thread lane ships nothing).  Explicit
+    shipping would have amortised — and the process lane otherwise.  Explicit
     ``"thread"``/``"process"``/``"remote"`` always win; ``"auto"`` never
     chooses the remote lane on its own (crossing a machine boundary is an
     explicit decision — via ``executor="remote"`` or ``REPRO_EXECUTOR``).
@@ -142,8 +102,6 @@ def choose_executor(
     resolved = resolve_executor(executor)
     if resolved != "auto":
         return resolved
-    if transport is not None:
-        return "process"
     return "thread" if total_units <= threshold else "process"
 
 
@@ -225,133 +183,6 @@ class CostModel:
     def seconds_for(self, units: float) -> float:
         """Estimated wall time of ``units`` of work at the current rate."""
         return units / self.units_per_second
-
-    def snapshot(self) -> dict[str, float]:
-        """The model's accumulated observations, as a JSON-friendly dict."""
-        return {"units": self._units, "seconds": self._seconds}
-
-    def restore(self, snapshot: dict) -> "CostModel":
-        """Adopt a :meth:`snapshot` (replacing any current observations).
-
-        Malformed snapshots are rejected with :class:`ValueError`; callers
-        reading from untrusted storage (the on-disk cache) catch and fall
-        back to the prior.
-        """
-        units = float(snapshot["units"])
-        seconds = float(snapshot["seconds"])
-        if units < 0.0 or seconds < 0.0:
-            raise ValueError(f"negative cost-model snapshot {snapshot!r}")
-        self._units = units
-        self._seconds = seconds
-        return self
-
-
-def _cost_cache_path() -> Path | None:
-    raw = os.environ.get(COST_CACHE_ENV_VAR, "").strip()
-    return Path(raw) if raw else None
-
-
-def load_cost_model(key: str, fallback_keys: Sequence[str] = ()) -> CostModel:
-    """A :class:`CostModel` preloaded from the on-disk cache, if enabled.
-
-    Looks ``key`` up in the ``REPRO_COST_CACHE`` JSON file, then each of
-    ``fallback_keys`` in order — the migration path for cache files written
-    before shaped keys existed (a reader passes the legacy ``"pipeline"``
-    record as its fallback and re-saves under the shaped key).  Any failure
-    — variable unset, file missing, unreadable, every entry malformed —
-    falls back to a fresh model with the default prior.  Never raises.
-    """
-    model = CostModel()
-    path = _cost_cache_path()
-    if path is None:
-        return model
-    try:
-        document = json.loads(path.read_text())
-    except Exception:  # noqa: BLE001 - a cache miss is always fine
-        return model
-    for candidate in (key, *fallback_keys):
-        try:
-            return model.restore(document[candidate])
-        except Exception:  # noqa: BLE001 - try the next candidate
-            continue
-    return model
-
-
-def save_cost_model(key: str, model: CostModel) -> None:
-    """Record ``model``'s observations under ``key`` in the on-disk cache.
-
-    Shorthand for :func:`save_cost_models` with a single record; see there
-    for the concurrency contract.  Never raises.
-    """
-    save_cost_models({key: model})
-
-
-def save_cost_models(records: Mapping[str, CostModel]) -> None:
-    """Merge several models' observations into the on-disk cache at once.
-
-    A no-op when ``REPRO_COST_CACHE`` is unset or no record observed
-    anything.  Writers sharing one cache — concurrent studies, coordinators,
-    the schedule daemon — are safe against each other twice over:
-
-    * the replacement is atomic (temp file in the same directory +
-      ``os.replace``), so a concurrent *reader* can only ever see a
-      complete document, never a torn write;
-    * the read-merge-write cycle runs under an exclusive ``flock`` on a
-      ``<cache>.lock`` sidecar, so a concurrent *writer* cannot interleave
-      its own cycle inside ours and revert keys it never touched (the
-      lost-update race the old single-key rewrite had).  Where ``fcntl``
-      is unavailable the merge still happens against a fresh read, which
-      shrinks the race window without eliminating it.
-
-    Only the keys in ``records`` are updated; every other key in the
-    document is preserved.  All failures are swallowed — the cache is an
-    accelerator, never a dependency.
-    """
-    path = _cost_cache_path()
-    if path is None:
-        return
-    payload = {
-        key: model.snapshot() for key, model in records.items() if model.observed
-    }
-    if not payload:
-        return
-    try:
-        _merge_into_cost_cache(path, payload)
-    except Exception:  # noqa: BLE001 - performance device, never fails a study
-        pass
-
-
-def _merge_into_cost_cache(
-    path: Path, payload: dict[str, dict[str, float]]
-) -> None:
-    """Locked read-merge-replace of ``payload`` into the cache document."""
-    lock_handle = open(path.with_name(path.name + ".lock"), "a")
-    try:
-        if fcntl is not None:
-            fcntl.flock(lock_handle.fileno(), fcntl.LOCK_EX)
-        try:
-            document = json.loads(path.read_text())
-            if not isinstance(document, dict):
-                document = {}
-        except Exception:  # noqa: BLE001 - first write or corrupt cache
-            document = {}
-        document.update(payload)
-        handle, temp_name = tempfile.mkstemp(
-            dir=str(path.parent), prefix=path.name, suffix=".tmp"
-        )
-        try:
-            with os.fdopen(handle, "w") as stream:
-                json.dump(document, stream)
-            os.replace(temp_name, path)
-        except BaseException:
-            try:
-                os.unlink(temp_name)
-            except OSError:
-                pass
-            raise
-    finally:
-        # Closing the handle releases the flock with it.
-        lock_handle.close()
 
 
 def aggregate_unit_costs(

@@ -3,10 +3,11 @@
 The Table 3 sweep has two halves with different bottlenecks: schedule
 construction and program compilation are parent-side CPU work, measured
 execution is embarrassingly parallel across (heuristic, size) tasks.  The
-sequential driver runs them strictly one after the other; the
-:class:`PipelinedExecutor` streams instead — as soon as one batch of programs
-is compiled it is shipped to the persistent worker pool
+:class:`PipelinedExecutor` streams them — as soon as one batch of programs is
+compiled it is shipped to the persistent worker pool
 (:mod:`repro.runtime.pool`) and *measured while the next batch constructs*.
+The practical study uses it whenever a pool is in play and the engine is
+batched; there is no switch back to construct-then-measure.
 
 The executor keeps one parent-side compiler alive across submissions, so
 every pLogP parameter evaluated for an early batch is reused by later ones.
@@ -16,15 +17,16 @@ through :mod:`repro.runtime.transport` (zero-copy shared memory when
 available), while a :class:`~repro.runtime.pool.ThreadStudyPool` receives the
 parent's compiled programs **by reference** — the thread lane ships nothing.
 
-Chunking is adaptive by default: each submission is split into cost-balanced
+Chunking is adaptive: a skewed submission is split into cost-balanced
 worker chunks (per-task cost = program message count), and every completed
 chunk's wall time feeds the executor's
 :class:`~repro.runtime.chunking.CostModel`, so later batches of the same
 study are split against *observed* throughput rather than the prior.
 Submission order defines result order, every task carries its own derived
 noise seed, and chains are submitted whole — so the pipelined results are
-bit-identical to the sequential driver's for any lane, transport or chunking
-policy, which the determinism suite asserts directly.
+bit-identical to the in-process engine's for any lane, worker count or
+shipping path (shared memory or its pickle fallback), which the determinism
+suite asserts directly.
 
 Without a pool the executor degrades to the plain in-process batched engine
 (same results, no overlap), so callers can use one code path for both.
@@ -36,15 +38,11 @@ from typing import Sequence
 
 import repro.simulator.batch as _batch
 from repro.runtime.chunking import (
-    CHUNKINGS,
     FLEET_SKEW_MIN,
     CostModel,
     aggregate_unit_costs,
     compiled_cost,
-    cost_model_key,
-    load_cost_model,
     partition_by_cost,
-    save_cost_model,
 )
 from repro.runtime.pool import StudyPool
 from repro.simulator.execution import ExecutionResult
@@ -55,13 +53,6 @@ from repro.topology.grid import Grid
 #: chunk — splitting them would cost more in per-chunk overhead than the
 #: balance could recover.  A pure performance knob; never affects results.
 SPLIT_MIN_SECONDS = 0.002
-
-#: Key the pipelined driver's observations live under in the opt-in on-disk
-#: cost cache (``REPRO_COST_CACHE``; see
-#: :func:`repro.runtime.chunking.load_cost_model`).  With the cache enabled
-#: the *first* submission of a study splits against the units-per-second a
-#: previous study actually measured instead of the prior.
-COST_MODEL_KEY = "pipeline"
 
 #: A submission is split into cost-balanced chunks only when its atomic
 #: units are at least this skewed (max unit cost over min unit cost).
@@ -91,24 +82,8 @@ class PipelinedExecutor:
         :class:`~repro.runtime.remote.RemoteStudyPool` (batches framed over
         the wire to worker agents); ``None`` runs every submission
         synchronously in-process (bit-identical results, no overlap).
-    transport:
-        Shipping transport for compiled batches on the process lane —
-        ``"auto"`` (default), ``"shm"`` or ``"pickle"``; see
-        :mod:`repro.runtime.transport`.  Ignored on the thread lane.
-    chunking:
-        ``"adaptive"`` (default) splits each submission into cost-balanced
-        worker chunks and refines the cost model from observed chunk wall
-        times; ``"fixed"`` keeps each submission as one chunk (the
-        historical behaviour).  Bit-identical either way.
     collect_traces:
         Keep full message traces (measured sweeps pass ``False``).
-    workload:
-        Optional label of the collective mix this executor runs (e.g.
-        ``"bcast"``).  When given, the on-disk cost cache is read and
-        written under a key shaped by ``(workload, grid)`` — see
-        :func:`repro.runtime.chunking.cost_model_key` — with the legacy
-        shared ``"pipeline"`` record as the read fallback, so differently
-        shaped studies stop mispricing each other's throughput.
     """
 
     def __init__(
@@ -117,37 +92,14 @@ class PipelinedExecutor:
         *,
         config: NetworkConfig | None = None,
         pool: StudyPool | None = None,
-        transport: str | None = None,
-        chunking: str = "adaptive",
         collect_traces: bool = False,
-        workload: str | None = None,
     ) -> None:
-        if chunking not in CHUNKINGS:
-            raise ValueError(
-                f"chunking must be one of {CHUNKINGS}, got {chunking!r}"
-            )
         self._grid = grid
         self._config = config if config is not None else NetworkConfig()
         self._pool = pool
-        self._transport = transport
-        self._chunking = chunking
         self._collect_traces = collect_traces
         self._compiler = _batch._BatchCompiler(grid, collect_traces)
-        # Preloaded from the opt-in REPRO_COST_CACHE (a fresh model with the
-        # default prior otherwise) so even the first submission can split
-        # against observed throughput.  A workload label shapes the cache
-        # key; the legacy shared record seeds shaped readers until their
-        # own record exists.
-        if workload is not None:
-            self._cost_key = cost_model_key(
-                workload, grid.num_clusters, grid.num_nodes
-            )
-            self._cost_model = load_cost_model(
-                self._cost_key, fallback_keys=(COST_MODEL_KEY,)
-            )
-        else:
-            self._cost_key = COST_MODEL_KEY
-            self._cost_model = load_cost_model(self._cost_key)
+        self._cost_model = CostModel()
         # Each entry is ("sync", results) or ("async", handles, shipment,
         # units, task count), in submission order; harvested async entries
         # collapse back to ("sync", results).
@@ -249,33 +201,40 @@ class PipelinedExecutor:
             shipment = None
         else:
             shipment, metas, index_of = _batch._ship_compiled(
-                compiled, self._collect_traces, self._transport
+                compiled, self._collect_traces
             )
             entries = [
                 (index_of[id(prog)], seed, reset)
                 for prog, seed, reset in zip(compiled, seeds, resets)
             ]
             handles = []
-            for chunk_index, (start, end) in enumerate(bounds):
-                chunk_entries = entries[start:end]
-                needed = {unique_index for unique_index, _, _ in chunk_entries}
-                job = (
-                    start,
-                    shipment,
-                    {index: metas[index] for index in needed},
-                    chunk_entries,
-                    self._config.noise_sigma,
-                    self._config.receive_overhead,
-                    self._collect_traces,
-                    self._grid.num_nodes,
-                )
-                handles.append(
-                    self._pool.submit(
-                        _batch._execute_shipped_chunk,
-                        job,
-                        units=chunk_units[chunk_index],
+            try:
+                for chunk_index, (start, end) in enumerate(bounds):
+                    chunk_entries = entries[start:end]
+                    needed = {unique_index for unique_index, _, _ in chunk_entries}
+                    job = (
+                        start,
+                        shipment,
+                        {index: metas[index] for index in needed},
+                        chunk_entries,
+                        self._config.noise_sigma,
+                        self._config.receive_overhead,
+                        self._collect_traces,
+                        self._grid.num_nodes,
                     )
-                )
+                    handles.append(
+                        self._pool.submit(
+                            _batch._execute_shipped_chunk,
+                            job,
+                            units=chunk_units[chunk_index],
+                        )
+                    )
+            except BaseException:
+                # The shipment never reaches _pending, so neither finish()
+                # nor abort() could release it.  Chunks already submitted
+                # keep their mappings; unlinking only drops the name.
+                shipment.unlink()
+                raise
         self._pending.append(
             ("async", handles, shipment, units, len(normalized))
         )
@@ -305,8 +264,7 @@ class PipelinedExecutor:
         """
         workers = self._pool.workers
         if (
-            self._chunking != "adaptive"
-            or workers < 2
+            workers < 2
             or self._cost_model.seconds_for(units) < SPLIT_MIN_SECONDS
         ):
             return [(0, len(tasks))]
@@ -383,9 +341,6 @@ class PipelinedExecutor:
                     entry[2].unlink()
                 except Exception:
                     pass
-        # Persist whatever was observed (opt-in via REPRO_COST_CACHE) so the
-        # next study's first split starts from measured throughput.
-        save_cost_model(self._cost_key, self._cost_model)
         if failure is not None:
             raise failure
         return results

@@ -25,10 +25,9 @@ of the incumbents.
 
 **Dispatch.**  The source paper's lesson — heterogeneous speeds must drive
 the schedule — applies to the runtime itself.  Every link keeps a per-agent
-:class:`~repro.runtime.chunking.CostModel` (seeded from the
-``REPRO_COST_CACHE`` snapshot, refined from the worker-side wall time every
-result frame reports), and under the default ``balancing="cost"`` each job
-is routed to the agent with the lowest *estimated completion time* —
+:class:`~repro.runtime.chunking.CostModel` (refined from the worker-side
+wall time every result frame reports), and each job is routed to the agent
+with the lowest *estimated completion time* —
 backlog units over estimated throughput — rather than the lowest job count.
 Only up to :data:`PREFETCH_PER_WORKER` frames per worker are actually on
 the wire per agent; the rest wait in coordinator-side queues where they can
@@ -39,9 +38,7 @@ are cut by the callers through the shared cost-balanced partitioner
 (:func:`repro.runtime.chunking.partition_by_cost`) — sized to the fleet's
 throughput skew via :meth:`RemoteStudyPool.partition_weights` — and a warm
 chain is never split: it executes whole on one agent, exactly as it
-executes whole on one local worker.  ``balancing="count"`` keeps the
-historical workers-only routing (eager send, no queues, no stealing) as the
-benchmark baseline.
+executes whole on one local worker.
 
 **Failure semantics.**  Every in-flight job keeps its encoded frame.  The
 coordinator pings each agent every :data:`HEARTBEAT_INTERVAL` seconds
@@ -113,7 +110,7 @@ import multiprocessing
 import multiprocessing.pool
 
 from repro.runtime import wire
-from repro.runtime.chunking import load_cost_model, save_cost_models
+from repro.runtime.chunking import CostModel
 from repro.runtime.serving import FrameServer
 from repro.runtime.faults import (
     FAULT_CRASH,
@@ -153,7 +150,7 @@ CONNECT_TIMEOUT_ENV_VAR = "REPRO_CONNECT_TIMEOUT"
 CONNECT_RETRY_BASE = 0.1
 CONNECT_RETRY_CAP = 2.0
 
-#: Frames kept on the wire per agent worker under ``balancing="cost"``:
+#: Frames kept on the wire per agent worker:
 #: enough that an agent never starves between results, few enough that the
 #: coordinator's queues — where jobs are still stealable — hold the rest.
 PREFETCH_PER_WORKER = 2
@@ -211,19 +208,6 @@ DEFAULT_MAX_COORDINATORS = 2
 #: drain chunks through the local process lane when no agent is alive or
 #: accepting, the default — and ``"fail"`` — the historical hard failure.
 FALLBACKS = ("local", "fail")
-
-#: Valid ``balancing=`` values of :class:`RemoteStudyPool`: ``"cost"`` —
-#: throughput-proportional routing with queues and stealing, the default —
-#: and ``"count"`` — the historical workers-only routing, kept as the
-#: benchmark baseline (see ``benchmarks/bench_runtime.py``, section
-#: ``remote_skewed``).
-BALANCINGS = ("cost", "count")
-
-#: Cost-cache key a fresh agent link seeds its model from when no
-#: per-agent record exists yet (``"pipeline"`` is the legacy shared record
-#: and the same per-worker units-per-second scale the pipelined driver
-#: observes — see :func:`repro.runtime.chunking.cost_model_key`).
-_LEGACY_COST_KEY = "pipeline"
 
 _ANNOUNCE = re.compile(r"listening on ([^\s:]+):(\d+)")
 
@@ -367,7 +351,7 @@ def _localise(obj: Any, repacked: list[ArrayShipment]) -> Any:
     them once the job completes.
     """
     if isinstance(obj, wire.WireShipment):
-        shipment = ArrayShipment.pack(obj.load(), transport="auto")
+        shipment = ArrayShipment.pack(obj.load())
         repacked.append(shipment)
         return shipment
     if isinstance(obj, tuple):
@@ -864,12 +848,8 @@ class _AgentLink:
         #: Monotonic time of the last frame received from this agent; the
         #: heartbeat loop declares the agent dead when it goes stale.
         self.last_heard = 0.0
-        #: Observed per-worker throughput of this agent, seeded from the
-        #: cost cache (a named agent's own record first, then the legacy
-        #: shared record).
-        self.cost_model = load_cost_model(
-            f"agent/{host}:{port}", fallback_keys=(_LEGACY_COST_KEY,)
-        )
+        #: Observed per-worker throughput of this agent.
+        self.cost_model = CostModel()
         #: Monotonic time before which pumping skips this agent after an
         #: admission reject (0.0: not backing off), and the consecutive
         #: reject count driving the exponential backoff.
@@ -886,10 +866,8 @@ class _AgentLink:
         return f"{self.host}:{self.port}"
 
     @property
-    def capacity(self) -> int | None:
-        """Max frames on the wire (``None``: unbounded — count balancing)."""
-        if self.pool.balancing == "count":
-            return None
+    def capacity(self) -> int:
+        """Max frames on the wire."""
         return max(1, self.workers) * PREFETCH_PER_WORKER
 
     @property
@@ -1058,11 +1036,6 @@ class RemoteStudyPool:
         Agent addresses — a ``"host:port,host:port"`` string or a parsed
         address sequence.  ``None`` consults ``REPRO_HOSTS`` and falls back
         to loopback mode.
-    balancing:
-        ``"cost"`` (default) — throughput-proportional routing against
-        per-agent cost models, with bounded prefetch and work stealing;
-        ``"count"`` — the historical workers-only routing, kept as the
-        benchmark baseline.
     heartbeat:
         Seconds between liveness pings (``None`` consults
         ``REPRO_HEARTBEAT`` and falls back to
@@ -1105,7 +1078,6 @@ class RemoteStudyPool:
         workers: int | None = None,
         *,
         hosts: str | Iterable[tuple[str, int]] | None = None,
-        balancing: str = "cost",
         heartbeat: float | None = None,
         faults: "FaultPlan | dict | str | Path | None" = None,
         frame_timeout: float | None = None,
@@ -1113,16 +1085,11 @@ class RemoteStudyPool:
         fallback: str = "local",
         connect_timeout: float | None = None,
     ) -> None:
-        if balancing not in BALANCINGS:
-            raise ValueError(
-                f"balancing must be one of {BALANCINGS}, got {balancing!r}"
-            )
         if fallback not in FALLBACKS:
             raise ValueError(
                 f"fallback must be one of {FALLBACKS}, got {fallback!r}"
             )
         self.hosts_spec = resolve_hosts(hosts)
-        self.balancing = balancing
         self._heartbeat = _resolve_heartbeat(heartbeat)
         #: The active fault-injection plan (``None``: injection off, and
         #: every consult site is a single ``is not None`` check).
@@ -1288,9 +1255,7 @@ class RemoteStudyPool:
         """Disconnect every agent, stop loopback subprocesses (idempotent).
 
         Jobs still pending fail with a descriptive error rather than
-        hanging their waiters forever.  Named agents' observed cost models
-        are persisted to the cost cache (when enabled) so the next study
-        routes its *first* chunks against measured throughput.
+        hanging their waiters forever.
         """
         self._monitor_stop.set()
         with self._lock:
@@ -1304,17 +1269,6 @@ class RemoteStudyPool:
             job.handle._settle(
                 None, RuntimeError("RemoteStudyPool closed with jobs pending")
             )
-        # Loopback agents get fresh OS-assigned ports every run, so a
-        # per-agent record would never be read back — only named agents
-        # persist their models.  One batched save merges the whole fleet's
-        # records under a single writer lock instead of N racing rewrites.
-        save_cost_models(
-            {
-                f"agent/{link.name}": link.cost_model
-                for link in agents
-                if link.process is None
-            }
-        )
         for link in agents:
             link.close()
 
@@ -1394,12 +1348,8 @@ class RemoteStudyPool:
         One entry per worker of each alive agent — the agent's estimated
         per-worker units-per-second — sorted fastest first, ready to pass
         to :func:`repro.runtime.chunking.partition_by_cost` so chunk sizes
-        track the fleet's skew.  ``None`` under ``balancing="count"`` (the
-        baseline must keep the historical uniform split) or when no agent
-        is alive.
+        track the fleet's skew.  ``None`` when no agent is alive.
         """
-        if self.balancing != "cost":
-            return None
         weights: list[float] = []
         with self._lock:
             for link in self._agents:
@@ -1417,20 +1367,13 @@ class RemoteStudyPool:
     def _route(self, job: _Job) -> _AgentLink:  # holds: _lock
         """The alive agent this job should wait on (call holding the lock).
 
-        Cost balancing picks the lowest estimated completion time —
-        current backlog plus this job, over estimated throughput — so a
-        fast agent absorbs proportionally more work; count balancing keeps
-        the historical lowest-load-per-worker rule.
+        Picks the lowest estimated completion time — current backlog plus
+        this job, over estimated throughput — so a fast agent absorbs
+        proportionally more work.
         """
         alive = [link for link in self._agents if link.alive]
         if not alive:
             raise RuntimeError("no remote agents available")
-        if self.balancing == "count":
-            return min(
-                alive,
-                key=lambda link: (len(link.inflight) + len(link.queued))
-                / link.workers,
-            )
         return min(alive, key=lambda link: link.eta(job.units))
 
     def _pump(self, agent: _AgentLink) -> None:
@@ -1442,9 +1385,7 @@ class RemoteStudyPool:
             if agent.busy_until > time.monotonic():
                 return  # backing off a BUSY; the monitor re-pumps later
             capacity = agent.capacity
-            while agent.queued and (
-                capacity is None or len(agent.inflight) < capacity
-            ):
+            while agent.queued and len(agent.inflight) < capacity:
                 job = agent.queued.popleft()
                 if job.job_id not in self._jobs:
                     continue  # settled while queued (a stolen twin won)
@@ -1470,27 +1411,26 @@ class RemoteStudyPool:
         to faster agents.  In-flight frames are never stolen, and a job is
         a whole chain-atomic chunk, so stealing can never split a chain.
         """
-        if self.balancing == "cost":
-            with self._lock:
-                if not agent.alive:
-                    return
-                capacity = agent.capacity
-                while len(agent.inflight) + len(agent.queued) < capacity:
-                    victims = [
-                        link
-                        for link in self._agents
-                        if link.alive and link is not agent and link.queued
-                    ]
-                    if not victims:
-                        break
-                    victim = max(victims, key=lambda link: link.eta())
-                    if victim.eta() <= agent.eta():
-                        break
-                    job = victim.queued.pop()
-                    if job.job_id not in self._jobs:
-                        continue
-                    agent.queued.append(job)
-                    self.steals += 1
+        with self._lock:
+            if not agent.alive:
+                return
+            capacity = agent.capacity
+            while len(agent.inflight) + len(agent.queued) < capacity:
+                victims = [
+                    link
+                    for link in self._agents
+                    if link.alive and link is not agent and link.queued
+                ]
+                if not victims:
+                    break
+                victim = max(victims, key=lambda link: link.eta())
+                if victim.eta() <= agent.eta():
+                    break
+                job = victim.queued.pop()
+                if job.job_id not in self._jobs:
+                    continue
+                agent.queued.append(job)
+                self.steals += 1
         self._pump(agent)
 
     def _monitor_tick_seconds(self) -> float:

@@ -9,11 +9,11 @@ array in exactly once, the handle that travels through the task pickle is a
 few bytes (segment name + dtype/shape/offset specs), and workers map the
 block and read the arrays **in place** — no copy, no decode.
 
-Shared memory is not available everywhere (some sandboxes mount no
-``/dev/shm``), so ``transport="auto"`` probes once and silently falls back to
-carrying the arrays inside the pickle itself; ``"shm"`` and ``"pickle"``
-force either side.  Both transports deliver bit-identical arrays — the
-determinism suite runs the same study over each and compares exactly.
+Shared memory is not available everywhere (some platforms mount no
+``/dev/shm``), so :meth:`ArrayShipment.pack` probes once
+(:func:`shared_memory_available`) and falls back to carrying the arrays
+inside the pickle itself.  Both paths deliver bit-identical arrays — the
+determinism suite forces the fallback and compares exactly.
 
 Lifecycle: the parent calls :meth:`ArrayShipment.unlink` once every consumer
 is done; workers call :meth:`ArrayShipment.close` (or use the shipment as a
@@ -42,9 +42,6 @@ try:  # pragma: no cover - import failure only on exotic platforms
     from multiprocessing import shared_memory as _shared_memory
 except ImportError:  # pragma: no cover
     _shared_memory = None
-
-#: Valid ``transport=`` values accepted by the runtime entry points.
-TRANSPORTS = ("auto", "shm", "pickle")
 
 #: Alignment of each array inside the shared block (cache-line friendly and
 #: valid for every NumPy dtype the library ships).
@@ -105,19 +102,6 @@ def shared_memory_available() -> bool:
     return _shm_probe_result
 
 
-def resolve_transport(transport: str | None) -> str:
-    """Normalise a ``transport=`` argument to ``"shm"`` or ``"pickle"``."""
-    if transport is None:
-        transport = "auto"
-    if transport not in TRANSPORTS:
-        raise ValueError(f"transport must be one of {TRANSPORTS}, got {transport!r}")
-    if transport == "auto":
-        return "shm" if shared_memory_available() else "pickle"
-    if transport == "shm" and not shared_memory_available():
-        raise RuntimeError("shared memory is not available on this platform")
-    return transport
-
-
 def _attach(name: str) -> Any:
     """Map an existing segment without adopting cleanup responsibility.
 
@@ -154,15 +138,16 @@ class ArrayShipment:
     # -- construction (parent side) ---------------------------------------------------
 
     @classmethod
-    def pack(
-        cls, arrays: dict[str, np.ndarray], *, transport: str | None = None
-    ) -> "ArrayShipment":
-        """Pack named arrays for shipping (one copy per array, total)."""
-        resolved = resolve_transport(transport)
+    def pack(cls, arrays: dict[str, np.ndarray]) -> "ArrayShipment":
+        """Pack named arrays for shipping (one copy per array, total).
+
+        Shared memory when :func:`shared_memory_available`, the pickle
+        fallback otherwise.
+        """
         contiguous = {
             name: np.ascontiguousarray(array) for name, array in arrays.items()
         }
-        if resolved == "pickle":
+        if not shared_memory_available():
             return cls(
                 transport="pickle",
                 specs=[

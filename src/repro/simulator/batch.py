@@ -42,11 +42,8 @@ the batch is too small to amortise shipping (the hot loop holds the GIL, so
 the lane trades parallel compute for zero shipping); ``executor="auto"``
 picks the lane per call from the batch's estimated cost
 (:mod:`repro.runtime.chunking`).  Worker chunks are
-sized **adaptively** from per-task cost (message counts) rather than task
-counts, so a mixed scatter/all-to-all workload balances across workers;
-``chunking="fixed"`` keeps the historical task-count split.
-``transport="legacy"`` preserves the pre-runtime dispatch — a fresh pool per
-call, the grid and tasks re-pickled per chunk — as the benchmark baseline.
+sized from per-task cost (message counts) rather than task counts, so a
+mixed scatter/all-to-all workload balances across workers.
 
 The scalar :func:`~repro.simulator.execution.execute_program` remains the
 reference engine: ``engine="scalar"`` runs it program by program on
@@ -54,13 +51,12 @@ identically-seeded fresh (or chained warm) networks, and the equivalence
 suite (``tests/test_simulator_batch.py``, ``tests/test_runtime.py``) asserts
 that both engines produce bit-identical makespans, activation/completion
 vectors and traces for every collective shape, noise on and off, at any
-worker count, over either transport.
+worker count, over shared memory and its pickle fallback alike.
 """
 
 from __future__ import annotations
 
 import heapq
-import multiprocessing
 import time
 from dataclasses import dataclass
 from typing import Sequence
@@ -82,11 +78,6 @@ VECTOR_MIN_SENDS = 12
 #: Valid ``engine=`` values of :func:`execute_programs` (and the study
 #: drivers built on it): the batched engine and the scalar reference loop.
 ENGINES = ("batched", "scalar")
-
-#: Valid ``transport=`` values of :func:`execute_programs`: the runtime
-#: transports plus ``"legacy"`` (fresh pool per call, grid and tasks pickled
-#: per chunk — the pre-runtime dispatch kept as the benchmark baseline).
-EXECUTE_TRANSPORTS = ("auto", "shm", "pickle", "legacy")
 
 
 @dataclass(frozen=True)
@@ -685,70 +676,40 @@ def _chain_units(tasks: Sequence[ExecutionTask]) -> list[tuple[int, int]]:
     return units
 
 
-def _partition_units(
-    units: Sequence[tuple[int, int]], chunk_target: int
-) -> list[tuple[int, int]]:
-    """Merge consecutive units into chunks of roughly ``chunk_target`` tasks.
-
-    Identical to the fixed-size contiguous chunking when every unit is one
-    task (no chains); chains are never split across chunks.  This is the
-    ``chunking="fixed"`` baseline; the default adaptive path sizes chunks
-    from per-task cost instead (:func:`_chunk_bounds`).
-    """
-    chunks: list[tuple[int, int]] = []
-    start = units[0][0]
-    count = 0
-    for unit_start, unit_end in units:
-        count += unit_end - unit_start
-        if count >= chunk_target:
-            chunks.append((start, unit_end))
-            start = unit_end
-            count = 0
-    if count:
-        chunks.append((start, units[-1][1]))
-    return chunks
-
-
 def _chunk_bounds(
     tasks: Sequence[ExecutionTask],
-    costs: Sequence[float] | None,
+    costs: Sequence[float],
     worker_count: int,
-    chunking: str,
 ) -> list[tuple[int, int]]:
     """Chain-respecting worker chunk boundaries for one fan-out.
 
-    ``chunking="adaptive"`` balances the chunks by per-task *cost* (the
-    program message counts of ``costs``) so an all-to-all task — ~20x a
-    bcast task — does not strand a count-balanced chunk; ``"fixed"`` keeps
-    the historical task-count split.  Either way chunks never split a warm
-    chain, and chunking never affects results (each task owns its seed).
+    Chunks are balanced by per-task *cost* (the program message counts of
+    ``costs``) so an all-to-all task — ~20x a bcast task — does not strand
+    a count-balanced chunk.  Chunks never split a warm chain, and chunking
+    never affects results (each task owns its seed).
     """
-    from repro.runtime.chunking import CHUNKS_PER_WORKER
+    from repro.runtime.chunking import (
+        CHUNKS_PER_WORKER,
+        aggregate_unit_costs,
+        partition_by_cost,
+    )
 
     units = _chain_units(tasks)
-    if chunking == "adaptive" and costs is not None:
-        from repro.runtime.chunking import aggregate_unit_costs, partition_by_cost
-
-        return partition_by_cost(
-            units,
-            aggregate_unit_costs(units, costs),
-            worker_count * CHUNKS_PER_WORKER,
-        )
-    chunk_target = max(1, -(-len(tasks) // (worker_count * CHUNKS_PER_WORKER)))
-    return _partition_units(units, chunk_target)
+    return partition_by_cost(
+        units,
+        aggregate_unit_costs(units, costs),
+        worker_count * CHUNKS_PER_WORKER,
+    )
 
 
 def _execute_pickled_chunk(args) -> tuple[int, list[ExecutionResult]]:
-    """Legacy multiprocessing adapter: one pickled slice of the task list.
+    """Scalar-engine worker body: one pickled slice of the task list.
 
-    The pre-runtime dispatch: the grid, the config and the tasks themselves
-    travel through the task pickle and the chunk compiles its own programs.
-    Kept as the worker body of ``transport="legacy"`` (the benchmark
-    baseline) and of the scalar reference engine's fan-out.
+    The grid, the config and the tasks themselves travel through the task
+    pickle and the chunk runs them through the scalar reference engine.
     """
-    start, grid, tasks, config, collect_traces, engine = args
-    runner = _execute_batch if engine == "batched" else _execute_scalar
-    return start, runner(grid, tasks, config, collect_traces)
+    start, grid, tasks, config, collect_traces = args
+    return start, _execute_scalar(grid, tasks, config, collect_traces)
 
 
 def _bundle_compiled(
@@ -808,17 +769,13 @@ def _bundle_compiled(
     return arrays, metas, index_of
 
 
-def _ship_compiled(
-    compiled: Sequence[_CompiledProgram],
-    collect_traces: bool,
-    transport: str | None,
-):
+def _ship_compiled(compiled: Sequence[_CompiledProgram], collect_traces: bool):
     """Pack one batch-wide :func:`_bundle_compiled` bundle for the local
     process lane (shared memory when available, pickle fallback)."""
     from repro.runtime.transport import ArrayShipment
 
     arrays, metas, index_of = _bundle_compiled(compiled, collect_traces)
-    return ArrayShipment.pack(arrays, transport=transport), metas, index_of
+    return ArrayShipment.pack(arrays), metas, index_of
 
 
 def _remote_chunk_jobs(
@@ -959,41 +916,13 @@ def _execute_compiled_chunk(args) -> tuple[int, list[ExecutionResult], float]:
     return start, results, time.perf_counter() - started
 
 
-def _execute_with_legacy_pool(
-    grid: Grid,
-    tasks: list[ExecutionTask],
-    config: NetworkConfig,
-    collect_traces: bool,
-    engine: str,
-    worker_count: int,
-) -> list[ExecutionResult]:
-    """The pre-runtime dispatch: fresh pool, grid and tasks pickled per chunk.
-
-    Kept byte-for-byte as the benchmark baseline — including its fixed
-    task-count chunking — so recorded speedups keep measuring the same
-    thing across PRs.
-    """
-    bounds = _chunk_bounds(tasks, None, worker_count, "fixed")
-    jobs = [
-        (start, grid, tasks[start:end], config, collect_traces, engine)
-        for start, end in bounds
-    ]
-    results: list[ExecutionResult | None] = [None] * len(tasks)
-    with multiprocessing.Pool(processes=worker_count) as mp_pool:
-        for start, values in mp_pool.imap_unordered(_execute_pickled_chunk, jobs):
-            results[start : start + len(values)] = values
-    return results  # type: ignore[return-value]
-
-
 def _execute_with_runtime_pool(
     grid: Grid,
     tasks: list[ExecutionTask],
     config: NetworkConfig,
     collect_traces: bool,
     worker_count: int,
-    transport: str | None,
     pool,
-    chunking: str,
 ) -> list[ExecutionResult]:
     """Process/remote lane: compile once in the parent, ship to the pool."""
     from repro.runtime.pool import get_pool
@@ -1005,7 +934,7 @@ def _execute_with_runtime_pool(
     seeds = _task_seeds(tasks, config)
     resets = [task.reset_network for task in tasks]
     costs = [compiled_cost(prog) for prog in compiled]
-    bounds = _chunk_bounds(tasks, costs, worker_count, chunking)
+    bounds = _chunk_bounds(tasks, costs, worker_count)
     study_pool = pool if pool is not None else get_pool(worker_count)
     results: list[ExecutionResult | None] = [None] * len(tasks)
     if getattr(study_pool, "kind", "process") == "remote":
@@ -1026,7 +955,7 @@ def _execute_with_runtime_pool(
             start, values, _ = handle.get()
             results[start : start + len(values)] = values
         return results  # type: ignore[return-value]
-    shipment, metas, index_of = _ship_compiled(compiled, collect_traces, transport)
+    shipment, metas, index_of = _ship_compiled(compiled, collect_traces)
     entries = [
         (index_of[id(prog)], seed, reset)
         for prog, seed, reset in zip(compiled, seeds, resets)
@@ -1062,7 +991,6 @@ def _execute_scalar_with_pool(
     collect_traces: bool,
     worker_count: int,
     pool,
-    chunking: str,
     kind: str,
 ) -> list[ExecutionResult]:
     """Scalar-engine fan-out over the persistent pool of either lane.
@@ -1077,9 +1005,9 @@ def _execute_scalar_with_pool(
 
     study_pool = pool if pool is not None else get_pool(worker_count, kind=kind)
     costs = [program_cost(task.program) for task in tasks]
-    bounds = _chunk_bounds(tasks, costs, worker_count, chunking)
+    bounds = _chunk_bounds(tasks, costs, worker_count)
     jobs = [
-        (start, grid, tasks[start:end], config, collect_traces, "scalar")
+        (start, grid, tasks[start:end], config, collect_traces)
         for start, end in bounds
     ]
     results: list[ExecutionResult | None] = [None] * len(tasks)
@@ -1095,7 +1023,6 @@ def _execute_with_thread_pool(
     collect_traces: bool,
     worker_count: int,
     pool,
-    chunking: str,
 ) -> list[ExecutionResult]:
     """Thread lane: no shipment — workers read the parent's arrays in place.
 
@@ -1112,7 +1039,7 @@ def _execute_with_thread_pool(
     compiler = _BatchCompiler(grid, collect_traces)
     compiled = [compiler.compile(task) for task in tasks]
     costs = [compiled_cost(prog) for prog in compiled]
-    bounds = _chunk_bounds(tasks, costs, worker_count, chunking)
+    bounds = _chunk_bounds(tasks, costs, worker_count)
     seeds = _task_seeds(tasks, config)
     resets = [task.reset_network for task in tasks]
     pending = [
@@ -1146,8 +1073,6 @@ def execute_programs(
     workers: int | None = None,
     engine: str = "batched",
     executor: str | None = None,
-    transport: str | None = None,
-    chunking: str = "adaptive",
     pool=None,
     hosts: str | None = None,
 ) -> list[ExecutionResult]:
@@ -1180,30 +1105,18 @@ def execute_programs(
         Which fan-out lane to use: ``"thread"``
         (:class:`~repro.runtime.pool.ThreadStudyPool` — no shipping, workers
         read the parent's compiled arrays in place), ``"process"``
-        (:class:`~repro.runtime.pool.StudyPool` + transport), ``"remote"``
+        (:class:`~repro.runtime.pool.StudyPool`; compiled arrays ship
+        through shared memory, pickle where it is unavailable), ``"remote"``
         (:class:`~repro.runtime.remote.RemoteStudyPool` — chunks shipped
         over sockets to worker agents, see ``hosts``), or ``"auto"`` —
         threads when the batch's total estimated cost is too small to
         amortise shipping, processes otherwise (never remote).  ``None``
         consults the ``REPRO_EXECUTOR`` environment variable, then defaults
-        to ``"auto"``.  Naming a transport pins ``"auto"`` to the process
-        lane (the lane that ships).  All lanes are bit-identical.
-    transport:
-        How batches reach *process* workers (ignored in-process and on the
-        thread lane, which ships nothing): ``"auto"`` (default, shared
-        memory when available), ``"shm"``, ``"pickle"``, or ``"legacy"`` —
-        the pre-runtime dispatch (fresh pool per call, grid and tasks
-        re-pickled per chunk), kept as the benchmark baseline and always
-        run on a fresh process pool of its own (``"legacy"`` therefore
-        rejects an explicit ``pool=`` and an explicit
-        ``executor="thread"``).  The batched engine's
-        ``"auto"``/``"shm"``/``"pickle"`` paths compile once in the parent
-        and reuse the persistent runtime pool; the scalar engine fans task
-        slices out over the persistent pool of either lane.
-    chunking:
-        ``"adaptive"`` (default) sizes worker chunks from per-task cost
-        (program message counts) so mixed workloads balance; ``"fixed"``
-        keeps the historical task-count chunking.  Bit-identical either way.
+        to ``"auto"``.  All lanes are bit-identical.  The batched engine
+        compiles once in the parent and reuses the persistent runtime pool;
+        the scalar engine fans task slices out over the persistent pool of
+        either local lane.  Worker chunks are sized from per-task cost
+        (program message counts) so mixed workloads balance.
     pool:
         An explicit :class:`~repro.runtime.pool.StudyPool` /
         :class:`~repro.runtime.pool.ThreadStudyPool` /
@@ -1217,7 +1130,6 @@ def execute_programs(
         (agents auto-spawned as local subprocesses).
     """
     from repro.runtime.chunking import (
-        CHUNKINGS,
         EXECUTORS,
         choose_executor,
         program_cost,
@@ -1229,24 +1141,6 @@ def execute_programs(
     if executor is not None and executor not in EXECUTORS:
         raise ValueError(
             f"executor must be one of {EXECUTORS}, got {executor!r}"
-        )
-    if transport is not None and transport not in EXECUTE_TRANSPORTS:
-        raise ValueError(
-            f"transport must be one of {EXECUTE_TRANSPORTS}, got {transport!r}"
-        )
-    if chunking not in CHUNKINGS:
-        raise ValueError(f"chunking must be one of {CHUNKINGS}, got {chunking!r}")
-    if transport == "legacy" and pool is not None:
-        raise ValueError(
-            "transport='legacy' is the pre-runtime benchmark baseline and "
-            "spawns its own fresh pool per call; it cannot submit to an "
-            "explicit pool="
-        )
-    if transport == "legacy" and executor in ("thread", "remote"):
-        raise ValueError(
-            "transport='legacy' is the fresh-process benchmark baseline and "
-            f"cannot run on the {executor} lane; drop executor={executor!r} "
-            "or pick another transport"
         )
     config = config if config is not None else NetworkConfig()
     normalized = [
@@ -1265,7 +1159,7 @@ def execute_programs(
         from repro.runtime.pool import engage_remote_lane
 
         pool, worker_count = engage_remote_lane(
-            pool, executor, workers, worker_count, hosts, transport
+            pool, executor, workers, worker_count, hosts
         )
 
     if worker_count > 1 and len(normalized) > 1:
@@ -1279,28 +1173,18 @@ def execute_programs(
                 lane = choose_executor(
                     "auto",
                     sum(program_cost(task.program) for task in normalized),
-                    transport=transport,
                 )
-        if transport == "legacy":
-            # The benchmark baseline is a fresh-process dispatch by
-            # definition (validation above rejected pool= and
-            # executor="thread").
-            return _execute_with_legacy_pool(
-                grid, normalized, config, collect_traces, engine, worker_count
-            )
         if engine == "scalar":
             return _execute_scalar_with_pool(
                 grid, normalized, config, collect_traces, worker_count, pool,
-                chunking, lane,
+                lane,
             )
         if lane == "thread":
             return _execute_with_thread_pool(
-                grid, normalized, config, collect_traces, worker_count,
-                pool, chunking,
+                grid, normalized, config, collect_traces, worker_count, pool
             )
         return _execute_with_runtime_pool(
-            grid, normalized, config, collect_traces, worker_count, transport,
-            pool, chunking,
+            grid, normalized, config, collect_traces, worker_count, pool
         )
 
     runner = _execute_batch if engine == "batched" else _execute_scalar

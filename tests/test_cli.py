@@ -213,11 +213,23 @@ class TestExecutorFlag:
         with pytest.raises(SystemExit):
             main(["practical", "--executor", "carrier-pigeon"])
 
-    def test_simulate_has_no_transport_flag(self, capsys):
-        """Monte-Carlo chunks always ship as seeds; the stack-shipping
-        ``--transport`` flag is rejected as unknown."""
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["simulate", "--iterations", "2"],
+            ["practical"],
+            ["practical", "--collective", "scatter"],
+            ["practical", "--collective", "alltoall"],
+            ["chain"],
+        ],
+        ids=["simulate", "practical", "scatter", "alltoall", "chain"],
+    )
+    def test_simulate_has_no_transport_flag(self, capsys, argv):
+        """No study subcommand takes ``--transport``: Monte-Carlo chunks
+        ship as seeds, measured batches pick shared memory or its pickle
+        fallback themselves."""
         with pytest.raises(SystemExit) as excinfo:
-            main(["simulate", "--iterations", "2", "--transport", "pickle"])
+            main([*argv, "--transport", "pickle"])
         assert excinfo.value.code == 2
         assert "unrecognized arguments: --transport" in capsys.readouterr().err
 

@@ -251,9 +251,11 @@ class TestScheduleProperties:
 
 
 import numpy as np
+import pytest
 
 from repro.runtime import wire
 from repro.runtime.chunking import partition_by_cost
+import repro.runtime.transport as transport_module
 from repro.runtime.transport import ArrayShipment
 
 wire_scalars = st.one_of(
@@ -357,7 +359,14 @@ class TestWireRoundTripProperties:
     )
     @settings(max_examples=40, deadline=None)
     def test_shipments_cross_as_wire_shipments(self, arrays, job):
-        shipment = ArrayShipment.pack(arrays, transport="pickle")
+        # The pickle fallback, forced the way a platform without shared
+        # memory selects it.
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(
+                transport_module, "shared_memory_available", lambda: False
+            )
+            shipment = ArrayShipment.pack(arrays)
+        assert shipment.transport == "pickle"
         try:
             decoded = _wire_round_trip({"job": job, "args": (shipment,)})
         finally:

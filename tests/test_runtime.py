@@ -2,8 +2,8 @@
 and the distributed remote lane.
 
 The runtime's contract is that *none* of its machinery changes results:
-pool reuse across studies, pipelined vs sequential drivers, shared-memory vs
-pickle transport, chunking, worker counts — and, for the remote lane, agent
+pool reuse across studies, pipelined vs in-process drivers, shared memory vs
+its pickle fallback, chunking, worker counts — and, for the remote lane, agent
 counts, join order, duplicate result delivery and mid-run agent loss — are
 all required to be bit-identical, with warm-network chaining verified
 against the scalar reference engine.
@@ -37,12 +37,9 @@ from repro.runtime.chunking import (
     AUTO_THREAD_MAX_UNITS,
     CostModel,
     choose_executor,
-    load_cost_model,
     partition_by_cost,
     program_cost,
     resolve_executor,
-    save_cost_model,
-    save_cost_models,
 )
 from repro.runtime.faults import (
     FAULT_CRASH,
@@ -71,20 +68,36 @@ from repro.runtime.remote import (
     parse_hosts,
     resolve_hosts,
 )
+import repro.runtime.chunking as chunking_module
+import repro.runtime.pipeline as pipeline_module
+import repro.runtime.transport as transport_module
 from repro.runtime.transport import (
     ArrayShipment,
-    resolve_transport,
     shared_memory_available,
     sweep_shipments,
 )
 from repro.runtime.pipeline import PipelinedExecutor
-from repro.simulator.batch import ExecutionTask, execute_programs
+from repro.simulator.batch import ExecutionTask, _chunk_bounds, execute_programs
 from repro.simulator.network import NetworkConfig
 from repro.utils.rng import derive_seed
 from repro.utils.workers import resolve_workers
 
 
-TRANSPORT_PARAMS = ["pickle"] + (["shm"] if shared_memory_available() else [])
+SHIPPING_PARAMS = ["pickle"] + (["shm"] if shared_memory_available() else [])
+
+
+@pytest.fixture(params=SHIPPING_PARAMS)
+def shipping(request, monkeypatch):
+    """Run a test over shared memory and over the pickle fallback.
+
+    The fallback is forced the way a platform without ``/dev/shm`` selects
+    it: the shared-memory probe answers ``False``.
+    """
+    if request.param == "pickle":
+        monkeypatch.setattr(
+            transport_module, "shared_memory_available", lambda: False
+        )
+    return request.param
 
 
 @pytest.fixture(scope="module")
@@ -158,15 +171,15 @@ class TestStudyPool:
 
 
 class TestArrayShipment:
-    @pytest.mark.parametrize("transport", TRANSPORT_PARAMS)
-    def test_round_trip_is_bitwise(self, transport):
+    def test_round_trip_is_bitwise(self, shipping):
         arrays = {
             "floats": np.linspace(0.0, 1.0, 37).reshape(37),
             "matrix": np.arange(24, dtype=np.float64).reshape(2, 3, 4) * np.pi,
             "ints": np.arange(11, dtype=np.int64),
             "empty": np.empty(0, dtype=np.float64),
         }
-        shipment = ArrayShipment.pack(arrays, transport=transport)
+        shipment = ArrayShipment.pack(arrays)
+        assert shipment.transport == shipping
         try:
             loaded = shipment.load()
             assert set(loaded) == set(arrays)
@@ -178,12 +191,11 @@ class TestArrayShipment:
             shipment.close()
             shipment.unlink()
 
-    @pytest.mark.parametrize("transport", TRANSPORT_PARAMS)
-    def test_survives_pickling(self, transport):
+    def test_survives_pickling(self, shipping):
         import pickle
 
         arrays = {"data": np.arange(100, dtype=np.float64) ** 0.5}
-        shipment = ArrayShipment.pack(arrays, transport=transport)
+        shipment = ArrayShipment.pack(arrays)
         try:
             clone = pickle.loads(pickle.dumps(shipment))
             assert np.array_equal(clone.load()["data"], arrays["data"])
@@ -195,17 +207,35 @@ class TestArrayShipment:
     def test_unlink_is_idempotent(self):
         if not shared_memory_available():
             pytest.skip("no shared memory on this platform")
-        shipment = ArrayShipment.pack({"x": np.ones(4)}, transport="shm")
+        shipment = ArrayShipment.pack({"x": np.ones(4)})
+        assert shipment.transport == "shm"
         shipment.unlink()
         shipment.unlink()
 
-    def test_rejects_unknown_transport(self):
-        with pytest.raises(ValueError, match="transport"):
-            resolve_transport("carrier-pigeon")
+    def test_pack_owns_a_segment_only_on_shared_memory(self, shipping):
+        """The probe decides the path: shared memory registers a segment
+        for cleanup, the pickle fallback carries its bytes and owns none."""
+        before = set(transport_module._owned_segments)
+        shipment = ArrayShipment.pack({"x": np.arange(8.0)})
+        try:
+            owned = set(transport_module._owned_segments) - before
+            if shipping == "shm":
+                assert owned == {shipment.shm_name}
+            else:
+                assert owned == set()
+                assert shipment.shm_name is None
+        finally:
+            shipment.close()
+            shipment.unlink()
+        assert set(transport_module._owned_segments) == before
+
+    def test_pack_takes_no_transport_argument(self):
+        with pytest.raises(TypeError, match="transport"):
+            ArrayShipment.pack({"x": np.ones(4)}, transport="pickle")
 
 
 class TestExecuteProgramsTransports:
-    """Shared-memory vs pickle vs legacy shipping is bit-identical."""
+    """Shared-memory vs pickle-fallback shipping is bit-identical."""
 
     @pytest.fixture(scope="class")
     def tasks(self, grid5000):
@@ -229,9 +259,8 @@ class TestExecuteProgramsTransports:
             collect_traces=True,
         )
 
-    @pytest.mark.parametrize("transport", TRANSPORT_PARAMS + ["legacy"])
     def test_worker_transport_bit_identical(
-        self, grid5000, tasks, reference, transport, pool
+        self, grid5000, tasks, reference, shipping, pool
     ):
         fanned = execute_programs(
             grid5000,
@@ -239,7 +268,7 @@ class TestExecuteProgramsTransports:
             config=NetworkConfig(noise_sigma=0.05, seed=5),
             collect_traces=True,
             workers=2,
-            transport=transport,
+            executor="process",
         )
         assert _makespans(fanned) == _makespans(reference)
         assert [r.completion_times for r in fanned] == [
@@ -247,9 +276,25 @@ class TestExecuteProgramsTransports:
         ]
         assert [r.trace for r in fanned] == [r.trace for r in reference]
 
-    def test_rejects_unknown_transport(self, grid5000, tasks):
-        with pytest.raises(ValueError, match="transport"):
-            execute_programs(grid5000, tasks, transport="smoke-signals")
+    @pytest.mark.parametrize(
+        "knob, value",
+        [("transport", "pickle"), ("chunking", "fixed"), ("pipeline", True)],
+    )
+    def test_removed_knobs_are_rejected(self, grid5000, tasks, knob, value):
+        """Shipping, chunking and pipelining are not caller choices: every
+        driver and runtime entry point rejects the old keywords."""
+        config = PracticalStudyConfig(message_sizes=(1_024,), heuristics=("ecef",))
+        calls = [
+            lambda **kw: execute_programs(grid5000, tasks, **kw),
+            lambda **kw: run_practical_study(config, **kw),
+            lambda **kw: run_scatter_study(config, **kw),
+            lambda **kw: run_alltoall_study(config, **kw),
+            lambda **kw: run_chained_study(config, **kw),
+            lambda **kw: PipelinedExecutor(grid5000, **kw),
+        ]
+        for call in calls:
+            with pytest.raises(TypeError, match=knob):
+                call(**{knob: value})
 
 
 class TestWarmChaining:
@@ -293,9 +338,8 @@ class TestWarmChaining:
             for index in range(1, len(tasks))
         )
 
-    @pytest.mark.parametrize("transport", TRANSPORT_PARAMS)
     def test_chains_never_split_across_workers(
-        self, grid5000, transport, pool
+        self, grid5000, shipping, pool
     ):
         tasks = []
         for chain_index in range(6):
@@ -309,7 +353,7 @@ class TestWarmChaining:
         config = NetworkConfig(noise_sigma=0.08, seed=9)
         inline = execute_programs(grid5000, tasks, config=config)
         fanned = execute_programs(
-            grid5000, tasks, config=config, workers=2, transport=transport
+            grid5000, tasks, config=config, workers=2, executor="process"
         )
         assert _makespans(fanned) == _makespans(inline)
 
@@ -368,7 +412,7 @@ class TestChainedStudy:
 
 
 class TestPipelinedDriver:
-    """Pipelined vs sequential practical study, pool reuse, transports."""
+    """Pipelined vs in-process practical study, pool reuse, shipping."""
 
     CONFIG = dict(
         message_sizes=(65_536, 1_048_576, 4_194_304),
@@ -378,34 +422,53 @@ class TestPipelinedDriver:
 
     def test_pipelined_matches_sequential(self, pool):
         config = PracticalStudyConfig(**self.CONFIG)
-        sequential = run_practical_study(config, workers=0, pipeline=False)
-        pipelined = run_practical_study(config, workers=2, pipeline=True)
+        sequential = run_practical_study(config, workers=0)
+        pipelined = run_practical_study(config, workers=2)
         assert np.array_equal(sequential.measured, pipelined.measured)
         assert np.array_equal(
             sequential.baseline_measured, pipelined.baseline_measured
         )
         assert np.array_equal(sequential.predicted, pipelined.predicted)
 
-    def test_pipeline_without_pool_degrades_to_sequential(self):
-        config = PracticalStudyConfig(**self.CONFIG)
-        inline = run_practical_study(config)
-        forced = run_practical_study(config, workers=0, pipeline=True)
-        assert np.array_equal(inline.measured, forced.measured)
+    def test_pipeline_without_pool_degrades_to_sequential(self, grid5000):
+        tasks = [
+            ExecutionTask(
+                binomial_bcast_program(grid5000, size, root_rank=0),
+                noise_seed=derive_seed(3, size),
+            )
+            for size in (4_096, 65_536, 1_048_576)
+        ]
+        config = NetworkConfig(noise_sigma=0.08, seed=3)
+        executor = PipelinedExecutor(grid5000, config=config)
+        assert not executor.pipelined
+        executor.submit(tasks[:1])
+        executor.submit(tasks[1:])
+        inline = execute_programs(grid5000, tasks, config=config)
+        assert _makespans(executor.finish()) == _makespans(inline)
 
-    def test_pipeline_requires_batched_engine(self):
-        config = PracticalStudyConfig(**self.CONFIG)
-        with pytest.raises(ValueError, match="batched"):
-            run_practical_study(config, engine="scalar", pipeline=True)
+    def test_pipelines_exactly_with_pool_and_batched_engine(
+        self, monkeypatch, pool
+    ):
+        """The batched engine with workers pipelines; the scalar engine and
+        the in-process sweep never build a PipelinedExecutor."""
+        import repro.experiments.practical_study as practical_module
 
-    def test_legacy_transport_forces_sequential_driver(self, pool):
-        """transport='legacy' cannot pipeline; with workers it must fall
-        back to the sequential legacy dispatch, not crash mid-sweep."""
+        built = []
+
+        class Recording(PipelinedExecutor):
+            def __init__(self, *args, **kwargs):
+                built.append(kwargs.get("pool"))
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(practical_module, "PipelinedExecutor", Recording)
         config = PracticalStudyConfig(**self.CONFIG)
         reference = run_practical_study(config)
-        legacy = run_practical_study(config, workers=2, transport="legacy")
-        assert np.array_equal(reference.measured, legacy.measured)
-        with pytest.raises(ValueError, match="legacy"):
-            run_practical_study(config, pipeline=True, transport="legacy")
+        scalar = run_practical_study(config, engine="scalar", workers=2)
+        assert built == []
+        pipelined = run_practical_study(config, workers=2, executor="process")
+        assert built == [pool]
+        assert np.array_equal(reference.measured, scalar.measured)
+        assert np.array_equal(reference.measured, pipelined.measured)
 
     def test_explicit_pool_implies_fanout(self, pool):
         """Passing pool= without workers= must use the pool, not silently
@@ -439,11 +502,69 @@ class TestPipelinedDriver:
         with pytest.raises(RuntimeError, match="finish"):
             executor.finish()
 
-    @pytest.mark.parametrize("transport", TRANSPORT_PARAMS)
-    def test_transport_invariance(self, transport, pool):
+    def test_submit_failure_unlinks_its_shipment(self, grid5000):
+        """A pool that refuses the batch must not strand the segment the
+        batch was already packed into."""
+        if not shared_memory_available():
+            pytest.skip("no shared memory on this platform")
+        closed = StudyPool(2)
+        closed.close()
+        executor = PipelinedExecutor(grid5000, pool=closed)
+        before = set(transport_module._owned_segments)
+        with pytest.raises(RuntimeError, match="closed"):
+            executor.submit(
+                [ExecutionTask(binomial_bcast_program(grid5000, 4_096, root_rank=0))]
+            )
+        executor.abort()
+        assert set(transport_module._owned_segments) == before
+
+    def test_bounds_split_only_skewed_batches(self, grid5000):
+        """Uniform or cheap submissions ride the pipeline whole; a skewed
+        one is cut into at most ``workers`` cost-balanced chunks."""
+        program = binomial_bcast_program(grid5000, 1_024, root_rank=0)
+        tasks = [
+            ExecutionTask(program, noise_seed=derive_seed(7, index))
+            for index in range(6)
+        ]
+        two_workers = ThreadStudyPool(2)
+        try:
+            executor = PipelinedExecutor(grid5000, pool=two_workers)
+            big = 10 * pipeline_module.SPLIT_MIN_SECONDS * (
+                executor.cost_model.units_per_second
+            )
+            uniform = [big / len(tasks)] * len(tasks)
+            assert executor._bounds(tasks, uniform, sum(uniform)) == [(0, 6)]
+            skewed = [big] + [1.0] * 5
+            assert executor._bounds(tasks, skewed, 1.0) == [(0, 6)]
+            assert executor._bounds(tasks, skewed, sum(skewed)) == [
+                (0, 1),
+                (1, 6),
+            ]
+        finally:
+            two_workers.close()
+
+    def test_cost_cache_env_var_is_ignored(
+        self, grid5000, thread_pool, tmp_path, monkeypatch
+    ):
+        """Observed throughput lives only as long as its executor: the old
+        on-disk cache variable neither writes a file nor warms a fresh
+        executor."""
+        cache = tmp_path / "costs.json"
+        monkeypatch.setenv("REPRO_COST_CACHE", str(cache))
+        program = binomial_bcast_program(grid5000, 65_536, root_rank=0)
+        executor = PipelinedExecutor(grid5000, pool=thread_pool)
+        executor.submit(
+            [ExecutionTask(program, noise_seed=derive_seed(3, i)) for i in range(8)]
+        )
+        executor.finish()
+        assert executor.cost_model.observed
+        assert not cache.exists()
+        assert not PipelinedExecutor(grid5000, pool=thread_pool).cost_model.observed
+
+    def test_transport_invariance(self, shipping, pool):
         config = PracticalStudyConfig(**self.CONFIG)
         reference = run_practical_study(config)
-        shipped = run_practical_study(config, workers=2, transport=transport)
+        shipped = run_practical_study(config, workers=2, executor="process")
         assert np.array_equal(reference.measured, shipped.measured)
 
     def test_pool_reuse_across_two_studies_is_bit_identical(self, pool):
@@ -631,6 +752,34 @@ class TestChunkingUnit:
         assert model.units_per_second == 500.0
         assert model.seconds_for(250.0) == pytest.approx(0.5)
 
+    def test_cost_model_ignores_empty_observations(self):
+        """A chunk that reported no work or no time must not move the rate
+        (a zero-second chunk would otherwise divide the prior away)."""
+        model = CostModel()
+        model.observe(0.0, 1.0)
+        model.observe(500.0, 0.0)
+        model.observe(-10.0, 2.0)
+        assert not model.observed
+        assert model.units_per_second == CostModel().units_per_second
+
+    def test_chunk_bounds_target_chunks_per_worker(self, grid5000):
+        """The fan-out split aims at CHUNKS_PER_WORKER chunks per worker,
+        covers every task in order and keeps a warm chain whole."""
+        program = binomial_bcast_program(grid5000, 1_024, root_rank=0)
+        tasks = [
+            ExecutionTask(program, noise_seed=derive_seed(5, index))
+            for index in range(20)
+        ]
+        tasks.append(ExecutionTask(program, noise_seed=derive_seed(5, "chain")))
+        tasks.append(ExecutionTask(program, reset_network=False))
+        bounds = _chunk_bounds(tasks, [1.0] * len(tasks), 2)
+        assert len(bounds) == 2 * chunking_module.CHUNKS_PER_WORKER
+        assert bounds[0][0] == 0 and bounds[-1][1] == len(tasks)
+        for (_, left_end), (right_start, _) in zip(bounds, bounds[1:]):
+            assert left_end == right_start
+        # Task 21 continues task 20's network: no chunk may end between them.
+        assert not any(end == 21 for _, end in bounds)
+
     def test_program_cost_counts_messages(self, grid5000):
         bcast = binomial_bcast_program(grid5000, 1_024, root_rank=0)
         alltoall = grid_aware_alltoall_program(grid5000, 64)
@@ -654,8 +803,6 @@ class TestChunkingUnit:
         monkeypatch.delenv("REPRO_EXECUTOR", raising=False)
         assert choose_executor(None, AUTO_THREAD_MAX_UNITS) == "thread"
         assert choose_executor(None, AUTO_THREAD_MAX_UNITS + 1) == "process"
-        # Naming a transport pins auto to the lane that ships.
-        assert choose_executor(None, 10, transport="pickle") == "process"
         assert choose_executor("thread", 10**9) == "thread"
 
 
@@ -692,7 +839,7 @@ class TestExecutorEquivalence:
     @pytest.mark.parametrize("executor", ["thread", "process"])
     def test_practical_study(self, executor, pool, thread_pool):
         config = PracticalStudyConfig(**self.PRACTICAL)
-        inline = run_practical_study(config, workers=0, pipeline=False)
+        inline = run_practical_study(config, workers=0)
         fanned = run_practical_study(config, workers=2, executor=executor)
         assert np.array_equal(inline.measured, fanned.measured)
         assert np.array_equal(inline.baseline_measured, fanned.baseline_measured)
@@ -734,7 +881,7 @@ class TestExecutorEquivalence:
 
     def test_auto_lane_is_bit_identical_too(self, pool, thread_pool):
         config = PracticalStudyConfig(**self.PRACTICAL)
-        inline = run_practical_study(config, workers=0, pipeline=False)
+        inline = run_practical_study(config, workers=0)
         auto = run_practical_study(config, workers=2, executor="auto")
         assert np.array_equal(inline.measured, auto.measured)
 
@@ -755,29 +902,6 @@ class TestExecutorEquivalence:
         program = binomial_bcast_program(grid5000, 1_024, root_rank=0)
         with pytest.raises(ValueError, match="executor"):
             execute_programs(grid5000, [program, program], executor="carrier-pigeon")
-
-    def test_legacy_transport_rejects_explicit_pool(self, grid5000, pool):
-        # The legacy dispatch spawns its own fresh pool (that is what it
-        # benchmarks); silently ignoring pool= would contradict the "a
-        # passed pool's kind decides the lane" contract.
-        program = binomial_bcast_program(grid5000, 1_024, root_rank=0)
-        with pytest.raises(ValueError, match="legacy"):
-            execute_programs(
-                grid5000, [program, program], transport="legacy", pool=pool
-            )
-
-    def test_legacy_transport_rejects_thread_executor(self, grid5000):
-        # Same contract from the other side: an explicit thread request
-        # cannot be silently downgraded to the fresh-process baseline.
-        program = binomial_bcast_program(grid5000, 1_024, root_rank=0)
-        with pytest.raises(ValueError, match="legacy"):
-            execute_programs(
-                grid5000,
-                [program, program],
-                workers=2,
-                executor="thread",
-                transport="legacy",
-            )
 
     def test_scalar_engine_honours_explicit_pools_of_either_kind(
         self, grid5000, pool, thread_pool
@@ -822,7 +946,7 @@ class TestExecutorEquivalence:
 
 
 class TestAdaptiveChunking:
-    """Adaptive vs fixed chunking bit-identity, on mixed workloads too."""
+    """Cost-balanced chunking stays bit-identical, on mixed workloads too."""
 
     def _mixed_tasks(self, grid):
         # The motivating skew: cheap broadcasts interleaved with ~20x
@@ -842,54 +966,52 @@ class TestAdaptiveChunking:
         return tasks
 
     @pytest.mark.parametrize("executor", ["thread", "process"])
-    def test_adaptive_matches_fixed(self, grid5000, executor, pool, thread_pool):
+    def test_adaptive_matches_inline(self, grid5000, executor, pool, thread_pool):
         tasks = self._mixed_tasks(grid5000)
         config = NetworkConfig(noise_sigma=0.08, seed=21)
         inline = execute_programs(grid5000, tasks, config=config)
         adaptive = execute_programs(
-            grid5000,
-            tasks,
-            config=config,
-            workers=2,
-            executor=executor,
-            chunking="adaptive",
-        )
-        fixed = execute_programs(
-            grid5000,
-            tasks,
-            config=config,
-            workers=2,
-            executor=executor,
-            chunking="fixed",
+            grid5000, tasks, config=config, workers=2, executor=executor
         )
         assert _makespans(adaptive) == _makespans(inline)
-        assert _makespans(fixed) == _makespans(inline)
 
-    def test_practical_study_chunking_invariance(self, pool):
+    def test_practical_study_chunking_invariance(self, monkeypatch, pool):
+        """Splitting every pipelined submission into cost-balanced chunks
+        and shipping every submission whole give the same measurements."""
         config = PracticalStudyConfig(
             message_sizes=(65_536, 1_048_576),
             noise_sigma=0.08,
             heuristics=("ecef", "fef"),
         )
-        adaptive = run_practical_study(config, workers=2, chunking="adaptive")
-        fixed = run_practical_study(config, workers=2, chunking="fixed")
-        assert np.array_equal(adaptive.measured, fixed.measured)
-        assert np.array_equal(adaptive.baseline_measured, fixed.baseline_measured)
+        reference = run_practical_study(config)
+        monkeypatch.setattr(pipeline_module, "SPLIT_MIN_SECONDS", 0.0)
+        monkeypatch.setattr(pipeline_module, "SPLIT_MIN_SKEW", 1.0)
+        split = run_practical_study(config, workers=2, executor="process")
+        monkeypatch.setattr(pipeline_module, "SPLIT_MIN_SECONDS", float("inf"))
+        whole = run_practical_study(config, workers=2, executor="process")
+        for result in (split, whole):
+            assert np.array_equal(reference.measured, result.measured)
+            assert np.array_equal(
+                reference.baseline_measured, result.baseline_measured
+            )
 
-    def test_chained_study_chunking_invariance(self, heterogeneous_grid, pool):
+    def test_chained_study_chunking_invariance(
+        self, monkeypatch, heterogeneous_grid, pool
+    ):
+        """One chunk per worker and many chunks per worker agree, chains
+        included."""
         config = PracticalStudyConfig(message_sizes=(2_048, 16_384), noise_sigma=0.05)
         kwargs = dict(grid=heterogeneous_grid, stages=("scatter", "alltoall"))
-        adaptive = run_chained_study(
-            config, workers=2, chunking="adaptive", **kwargs
-        )
-        fixed = run_chained_study(config, workers=2, chunking="fixed", **kwargs)
-        assert np.array_equal(adaptive.warm, fixed.warm)
-        assert np.array_equal(adaptive.fresh, fixed.fresh)
-
-    def test_rejects_unknown_chunking(self, grid5000):
-        program = binomial_bcast_program(grid5000, 1_024, root_rank=0)
-        with pytest.raises(ValueError, match="chunking"):
-            execute_programs(grid5000, [program, program], chunking="vibes")
+        reference = run_chained_study(config, **kwargs)
+        results = []
+        for per_worker in (1, 8):
+            monkeypatch.setattr(chunking_module, "CHUNKS_PER_WORKER", per_worker)
+            results.append(
+                run_chained_study(config, workers=2, executor="process", **kwargs)
+            )
+        for result in results:
+            assert np.array_equal(reference.warm, result.warm)
+            assert np.array_equal(reference.fresh, result.fresh)
 
     def test_pipelined_cost_model_learns_within_study(self, grid5000, thread_pool):
         executor = PipelinedExecutor(
@@ -958,10 +1080,9 @@ class TestWireProtocol:
         assert big_flags & wire.FLAG_ZLIB
         assert np.array_equal(decoded["z"], big_message["z"])
 
-    @pytest.mark.parametrize("transport", TRANSPORT_PARAMS)
-    def test_shipments_cross_the_wire_as_arrays(self, transport):
+    def test_shipments_cross_the_wire_as_arrays(self, shipping):
         arrays = {"stack": np.arange(24.0).reshape(2, 3, 4)}
-        shipment = ArrayShipment.pack(arrays, transport=transport)
+        shipment = ArrayShipment.pack(arrays)
         try:
             decoded, _ = self._round_trip({"ship": shipment})
             crossed = decoded["ship"]
@@ -1101,11 +1222,6 @@ class TestHostsResolution:
         assert pool.kind == "remote" and workers == pool.workers == 2
         # An explicit in-process request is never overridden.
         assert engage_remote_lane(None, "remote", 0, 0, None) == (None, 0)
-        # The legacy benchmark baseline never engages the lane.
-        assert engage_remote_lane(None, "remote", None, 0, None, "legacy") == (
-            None,
-            0,
-        )
         # An explicit pool always wins, whatever its lane — and with no
         # workers= it lifts the count to the pool's (the fan-out request
         # an explicit pool implies).
@@ -1122,176 +1238,9 @@ class TestHostsResolution:
         assert pool.kind == "remote" and workers == 2
 
 
-class TestCostModelPersistence:
-    def test_snapshot_restore_round_trip(self):
-        model = CostModel()
-        model.observe(1_000.0, 2.0)
-        clone = CostModel().restore(model.snapshot())
-        assert clone.observed
-        assert clone.units_per_second == model.units_per_second
-        with pytest.raises(ValueError, match="negative"):
-            CostModel().restore({"units": -1.0, "seconds": 2.0})
-
-    def test_save_and_load_through_env_cache(self, tmp_path, monkeypatch):
-        cache = tmp_path / "costs.json"
-        monkeypatch.setenv("REPRO_COST_CACHE", str(cache))
-        model = CostModel()
-        model.observe(5_000.0, 2.5)
-        save_cost_model("pipeline", model)
-        restored = load_cost_model("pipeline")
-        assert restored.observed
-        assert restored.units_per_second == model.units_per_second
-        # Keys are independent documents in one file.
-        other = CostModel()
-        other.observe(100.0, 1.0)
-        save_cost_model("other", other)
-        assert load_cost_model("pipeline").units_per_second == 2_000.0
-        assert load_cost_model("other").units_per_second == 100.0
-
-    def test_cache_disabled_or_corrupt_falls_back_to_prior(
-        self, tmp_path, monkeypatch
-    ):
-        monkeypatch.delenv("REPRO_COST_CACHE", raising=False)
-        assert not load_cost_model("pipeline").observed
-        model = CostModel()
-        model.observe(10.0, 1.0)
-        save_cost_model("pipeline", model)  # no-op without the env var
-        cache = tmp_path / "costs.json"
-        cache.write_text("{not json")
-        monkeypatch.setenv("REPRO_COST_CACHE", str(cache))
-        assert not load_cost_model("pipeline").observed
-        # An unobserved model is never persisted (it would store the prior).
-        save_cost_model("pipeline", CostModel())
-        assert cache.read_text() == "{not json"
-
-    def test_save_merges_instead_of_clobbering_unknown_keys(
-        self, tmp_path, monkeypatch
-    ):
-        """A save only touches its own keys; foreign records survive."""
-        cache = tmp_path / "costs.json"
-        monkeypatch.setenv("REPRO_COST_CACHE", str(cache))
-        cache.write_text(json.dumps({"foreign": {"units": 7.0, "seconds": 1.0}}))
-        model = CostModel()
-        model.observe(300.0, 2.0)
-        other = CostModel()
-        other.observe(40.0, 4.0)
-        save_cost_models({"mine/a": model, "mine/b": other, "mine/idle": CostModel()})
-        document = json.loads(cache.read_text())
-        # The batch landed (minus the unobserved model), the foreign key
-        # written by some other study/daemon is untouched.
-        assert set(document) == {"foreign", "mine/a", "mine/b"}
-        assert load_cost_model("foreign").units_per_second == 7.0
-        assert load_cost_model("mine/a").units_per_second == 150.0
-
-    def test_concurrent_thread_writers_lose_no_records(
-        self, tmp_path, monkeypatch
-    ):
-        """N threads interleaving read-merge-write cycles drop nothing.
-
-        This is the lost-update race the sidecar ``flock`` closes: before
-        it, two writers could both read the same document and the slower
-        ``os.replace`` reverted the faster writer's keys.
-        """
-        cache = tmp_path / "costs.json"
-        monkeypatch.setenv("REPRO_COST_CACHE", str(cache))
-        rounds = 25
-
-        def writer(name: int) -> None:
-            model = CostModel()
-            model.observe(1_000.0 * (name + 1), 1.0)
-            for index in range(rounds):
-                save_cost_model(f"writer/{name}/{index}", model)
-
-        threads = [
-            threading.Thread(target=writer, args=(name,)) for name in range(4)
-        ]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        document = json.loads(cache.read_text())
-        expected = {
-            f"writer/{name}/{index}"
-            for name in range(4)
-            for index in range(rounds)
-        }
-        assert set(document) == expected
-        for name in range(4):
-            assert (
-                load_cost_model(f"writer/{name}/0").units_per_second
-                == 1_000.0 * (name + 1)
-            )
-
-    def test_concurrent_process_writers_lose_no_records(
-        self, tmp_path, monkeypatch
-    ):
-        """Two separate interpreters race the one cache file safely."""
-        import subprocess
-        import sys
-
-        cache = tmp_path / "costs.json"
-        monkeypatch.setenv("REPRO_COST_CACHE", str(cache))
-        script = (
-            "import sys\n"
-            "from repro.runtime.chunking import CostModel, save_cost_model\n"
-            "name = sys.argv[1]\n"
-            "model = CostModel()\n"
-            "model.observe(500.0, 1.0)\n"
-            "for index in range(20):\n"
-            "    save_cost_model(f'proc/{name}/{index}', model)\n"
-        )
-        workers = [
-            subprocess.Popen([sys.executable, "-c", script, str(name)])
-            for name in range(2)
-        ]
-        for worker in workers:
-            assert worker.wait(timeout=60) == 0
-        document = json.loads(cache.read_text())
-        expected = {f"proc/{name}/{index}" for name in range(2) for index in range(20)}
-        assert set(document) == expected
-
-    def test_pipelined_executor_persists_observations(
-        self, grid5000, thread_pool, tmp_path, monkeypatch
-    ):
-        cache = tmp_path / "costs.json"
-        monkeypatch.setenv("REPRO_COST_CACHE", str(cache))
-        program = binomial_bcast_program(grid5000, 65_536, root_rank=0)
-        executor = PipelinedExecutor(
-            grid5000,
-            config=NetworkConfig(noise_sigma=0.05, seed=3),
-            pool=thread_pool,
-        )
-        assert not executor.cost_model.observed  # first run: cache empty
-        for index in range(3):
-            executor.submit(
-                [
-                    ExecutionTask(program, noise_seed=derive_seed(3, index, i))
-                    for i in range(8)
-                ]
-            )
-        reference = [r.makespan for r in executor.finish()]
-        assert cache.exists()
-        # A fresh executor starts from the recorded throughput...
-        warm = PipelinedExecutor(
-            grid5000,
-            config=NetworkConfig(noise_sigma=0.05, seed=3),
-            pool=thread_pool,
-        )
-        assert warm.cost_model.observed
-        # ...and the cache can never change results.
-        for index in range(3):
-            warm.submit(
-                [
-                    ExecutionTask(program, noise_seed=derive_seed(3, index, i))
-                    for i in range(8)
-                ]
-            )
-        assert [r.makespan for r in warm.finish()] == reference
-
-
 class TestShipmentCleanup:
-    def test_close_and_unlink_are_idempotent(self):
-        shipment = ArrayShipment.pack({"x": np.ones(8)}, transport="pickle")
+    def test_close_and_unlink_are_idempotent(self, shipping):
+        shipment = ArrayShipment.pack({"x": np.ones(8)})
         shipment.load()
         shipment.close()
         shipment.close()
@@ -1303,7 +1252,7 @@ class TestShipmentCleanup:
             pytest.skip("no shared memory on this platform")
         from multiprocessing import shared_memory
 
-        shipment = ArrayShipment.pack({"x": np.ones(64)}, transport="shm")
+        shipment = ArrayShipment.pack({"x": np.ones(64)})
         name = shipment.shm_name
         shipment.close()  # mapping dropped, segment deliberately left behind
         sweep_shipments()
@@ -1315,9 +1264,7 @@ class TestShipmentCleanup:
     def test_sweep_skips_other_owners(self):
         if not shared_memory_available():
             pytest.skip("no shared memory on this platform")
-        import repro.runtime.transport as transport_module
-
-        shipment = ArrayShipment.pack({"x": np.ones(16)}, transport="shm")
+        shipment = ArrayShipment.pack({"x": np.ones(16)})
         try:
             # Pretend a (forked) parent owns the segment: the sweep of this
             # process must leave it alone.
@@ -1355,7 +1302,7 @@ class TestRemoteLane:
 
     def test_practical_study(self, remote_pool):
         config = PracticalStudyConfig(**self.PRACTICAL)
-        inline = run_practical_study(config, workers=0, pipeline=False)
+        inline = run_practical_study(config, workers=0)
         remote = run_practical_study(config, workers=2, pool=remote_pool)
         assert np.array_equal(inline.measured, remote.measured)
         assert np.array_equal(inline.baseline_measured, remote.baseline_measured)
@@ -1465,7 +1412,7 @@ class TestRemoteLane:
             noise_sigma=0.08,
             heuristics=("ecef", "fef", "flat_tree"),
         )
-        inline = run_practical_study(config, workers=0, pipeline=False)
+        inline = run_practical_study(config, workers=0)
         # fallback="fail" keeps the historical contract under test here:
         # losing the last agent is a hard failure, not a degradation to the
         # local lane (that path has its own tests in TestChaosRemoteLane).
@@ -1665,23 +1612,11 @@ class TestElasticRemoteLane:
             self._terminate(first_proc)
             self._terminate(second_proc)
 
-    def test_balancing_is_validated_and_count_mode_round_trips(self):
-        with pytest.raises(ValueError, match="balancing"):
-            RemoteStudyPool(2, balancing="vibes")
-        pool = RemoteStudyPool(2, balancing="count")
-        try:
-            assert pool.balancing == "count"
-            assert pool.partition_weights() is None  # baseline: uniform split
-            handles = [pool.submit(derive_seed, index) for index in range(8)]
-            assert [handle.get(timeout=60) for handle in handles] == [
-                derive_seed(index) for index in range(8)
-            ]
-            assert pool.steals == 0  # count mode never steals
-        finally:
-            pool.close()
+    def test_balancing_is_not_a_knob(self):
+        with pytest.raises(TypeError, match="balancing"):
+            RemoteStudyPool(2, balancing="count")
 
-    def test_default_balancing_is_cost(self, remote_pool):
-        assert remote_pool.balancing == "cost"
+    def test_partition_weights_cover_every_alive_worker(self, remote_pool):
         weights = remote_pool.partition_weights()
         assert weights is not None
         assert len(weights) == sum(
@@ -1814,7 +1749,7 @@ class TestChaosRemoteLane:
         pool = RemoteStudyPool(2, faults=plan, fallback="fail")
         try:
             remote = run_practical_study(practical, workers=2, pool=pool)
-            inline = run_practical_study(practical, workers=0, pipeline=False)
+            inline = run_practical_study(practical, workers=0)
             assert np.array_equal(inline.measured, remote.measured)
             assert np.array_equal(inline.predicted, remote.predicted)
             # Enough direct deliveries to guarantee #0 reaches its crash
