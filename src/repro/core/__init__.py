@@ -24,7 +24,8 @@ Public API
   computed once per (grid, message size) and shared by every heuristic, the
   timing model and the Monte-Carlo drivers.
 * :mod:`repro.core.batch` -- the batched engine scheduling whole stacks of
-  same-sized grids per NumPy call (used by the Monte-Carlo study).
+  same-sized grids, every heuristic of a chunk in one lane loop (used by
+  the Monte-Carlo study).
 * Concrete heuristics: :class:`~repro.core.flat_tree.FlatTreeHeuristic`,
   :class:`~repro.core.fef.FastestEdgeFirst`, :class:`~repro.core.ecef.ECEF`,
   :class:`~repro.core.ecef.ECEFLookahead` (with pluggable lookahead

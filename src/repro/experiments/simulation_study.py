@@ -11,7 +11,8 @@ The study only ever reads three things per random grid: ``L_ij``, ``g_ij``
 and ``T_i``.  Iterations are processed in chunks, and each chunk's grids are
 drawn straight into ``(K, n, n)`` cost stacks
 (:meth:`~repro.topology.generators.RandomGridGenerator.cost_stacks`) that the
-batched kernels (:mod:`repro.core.batch`) schedule a whole chunk at a time —
+batched kernels (:mod:`repro.core.batch`) schedule a whole chunk at a time,
+every heuristic of the chunk in one lane loop —
 no :class:`~repro.topology.grid.Grid` object is built on that path.  Grids
 are generated from the same seeds only for heuristics without a batched
 kernel (e.g. ``optimal``), which fall back to the per-grid engine.
@@ -167,21 +168,26 @@ def _evaluate_chunk(
 
     Returns an array of shape ``(len(heuristic_keys), len(seeds))``.
     Heuristics with a batched kernel share one set of cost stacks drawn
-    straight from the seeds; the others get :class:`Grid` objects generated
-    from the same seeds, scheduled one by one on shared per-grid caches.
+    straight from the seeds, and the first of them schedules all of them in
+    one lane loop (``lineup``); the others get :class:`Grid` objects
+    generated from the same seeds, scheduled one by one on shared per-grid
+    caches.
     """
     heuristics = instantiate(heuristic_keys)
+    kernel_users = [h for h in heuristics if has_batched_kernel(h, num_clusters)]
     generator = RandomGridGenerator(ranges)
     batched: BatchedGridCosts | None = None  # drawn on first kernel user
     grids = caches = None  # generated on first fallback user
     out = np.empty((len(heuristics), len(seeds)), dtype=float)
     for heuristic_index, heuristic in enumerate(heuristics):
-        if has_batched_kernel(heuristic, num_clusters):
+        if heuristic in kernel_users:
             if batched is None:
                 batched = BatchedGridCosts.from_arrays(
                     generator.cost_stacks(num_clusters, seeds)
                 )
-            makespans = batched_makespans(heuristic, batched, root=root)
+            makespans = batched_makespans(
+                heuristic, batched, root=root, lineup=kernel_users
+            )
         else:
             if grids is None:
                 grids = [

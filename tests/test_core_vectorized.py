@@ -23,16 +23,25 @@ rather than under hypothesis, which could in principle stumble on a near-tie.
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.base import SchedulingState, run_heuristics
 from repro.core.batch import BatchedGridCosts, batched_makespans
+from repro.core.bottomup import BottomUp
 from repro.core.costs import GridCostCache
 from repro.core.ecef import ECEFLookahead
+from repro.core.fef import FastestEdgeFirst
+from repro.core.flat_tree import FlatTreeHeuristic
 from repro.core.lookahead import LOOKAHEAD_FUNCTIONS
+from repro.core.mixed import MixedStrategy
 from repro.core.registry import PAPER_HEURISTICS, get_heuristic, instantiate
+from repro.experiments.config import SimulationStudyConfig
+from repro.experiments.simulation_study import _evaluate_chunk
+from repro.runtime.service import build_topology
 from repro.topology.generators import RandomGridGenerator, make_uniform_grid
 from repro.utils.rng import RandomStream
 
@@ -336,3 +345,173 @@ class TestBatchedEngine:
         stacked = BatchedGridCosts([GridCostCache.for_grid(grid, MESSAGE_SIZE)])
         batch = batched_makespans(heuristic, stacked)
         assert batch[0] == heuristic.schedule(grid, MESSAGE_SIZE).makespan
+
+
+# ---------------------------------------------------------------------------
+# the lane loop: exact ties, joint line-ups, roots, working memory
+# ---------------------------------------------------------------------------
+
+#: Grid sizes of the tie-heavy sweep: the degenerate 1- and 2-cluster
+#: batches, the first size with a lookahead round, and a few larger ones.
+TIE_SIZES = (1, 2, 3, 5, 9, 17, 33)
+
+
+def every_rule(num_clusters: int) -> list:
+    """One heuristic per lane rule, the ablation variants included."""
+    return instantiate(GREEDY_KEYS) + [
+        ECEFLookahead("none", key="t", display_name="t"),
+        ECEFLookahead("average_latency", key="t", display_name="t"),
+        ECEFLookahead("average_informed", key="t", display_name="t"),
+        BottomUp(use_ready_time=True),
+        FastestEdgeFirst(weight="transfer_time"),
+        FlatTreeHeuristic(cluster_order=range(num_clusters - 1, -1, -1)),
+        MixedStrategy(threshold=2),
+    ]
+
+
+def integer_ms_grid(num_clusters: int, seed: int):
+    """An explicit grid of whole-millisecond latencies, gaps and broadcast
+    times drawn from three or four values each, so scores tie everywhere."""
+    rng = np.random.default_rng(seed)
+    n = num_clusters
+    spec = {
+        "kind": "explicit",
+        "broadcast": (rng.integers(0, 4, n) * 10 / 1000).tolist(),
+        "latency": (rng.integers(1, 4, (n, n)) / 1000).tolist(),
+        "gap": (rng.integers(1, 4, (n, n)) * 10 / 1000).tolist(),
+    }
+    return build_topology(spec)
+
+
+def float_stacks(num_grids: int, num_clusters: int, seed: int) -> dict:
+    """Asymmetric random stacks with zero diagonals (no Grid behind them)."""
+    rng = np.random.default_rng(seed)
+    shape = (num_grids, num_clusters, num_clusters)
+    gap, latency = rng.random(shape), rng.random(shape) / 10
+    diagonal = np.arange(num_clusters)
+    gap[:, diagonal, diagonal] = latency[:, diagonal, diagonal] = 0.0
+    return {
+        "gap": gap,
+        "latency": latency,
+        "transfer": gap + latency,
+        "broadcast": rng.random((num_grids, num_clusters)),
+    }
+
+
+class TestLaneLoop:
+    @pytest.mark.parametrize("num_clusters", TIE_SIZES)
+    def test_exact_ties_match_the_scalar_engine(self, num_clusters):
+        """Every paper heuristic from every root of tie-heavy grids lands on
+        the scalar engine's makespan, bit for bit."""
+        grids = [integer_ms_grid(num_clusters, seed) for seed in range(2)]
+        caches = [GridCostCache.for_grid(grid, MESSAGE_SIZE) for grid in grids]
+        heuristics = instantiate(PAPER_HEURISTICS)
+        for root in range(num_clusters):
+            stacked = BatchedGridCosts(caches)
+            for heuristic in heuristics:
+                batch = batched_makespans(
+                    heuristic, stacked, root=root, lineup=heuristics
+                )
+                scalar = [
+                    heuristic.schedule(
+                        grid, MESSAGE_SIZE, root=root, vectorized=False
+                    ).makespan
+                    for grid in grids
+                ]
+                assert batch.tolist() == scalar, (heuristic.name, root)
+
+    @pytest.mark.parametrize("source", ("integer_ms", "asymmetric_float"))
+    @pytest.mark.parametrize("num_clusters", (1, 2, 3, 6, 13))
+    def test_joint_lineup_equals_one_heuristic_calls(self, source, num_clusters):
+        if source == "integer_ms":
+            caches = [
+                GridCostCache.for_grid(integer_ms_grid(num_clusters, seed), 1.0)
+                for seed in range(4)
+            ]
+            stacks = lambda: BatchedGridCosts(caches)
+        else:
+            arrays = float_stacks(4, num_clusters, seed=num_clusters)
+            stacks = lambda: BatchedGridCosts.from_arrays(arrays)
+        heuristics = every_rule(num_clusters)
+        for root in {0, num_clusters // 2, num_clusters - 1}:
+            joint, reversed_joint = stacks(), stacks()
+            for heuristic in heuristics:
+                alone = batched_makespans(heuristic, stacks(), root=root)
+                together = batched_makespans(
+                    heuristic, joint, root=root, lineup=heuristics
+                )
+                backwards = batched_makespans(
+                    heuristic, reversed_joint, root=root, lineup=heuristics[::-1]
+                )
+                assert alone is not None, heuristic.name
+                assert alone.tolist() == together.tolist(), (heuristic.name, root)
+                assert alone.tolist() == backwards.tolist(), (heuristic.name, root)
+
+    def test_cached_results_cannot_be_corrupted_by_the_caller(self):
+        stacked = BatchedGridCosts.from_arrays(float_stacks(3, 5, seed=1))
+        heuristics = instantiate(PAPER_HEURISTICS)
+        first = batched_makespans(heuristics[2], stacked, lineup=heuristics)
+        expected = first.copy()
+        first[:] = -1.0
+        again = batched_makespans(heuristics[2], stacked, lineup=heuristics)
+        assert again.tolist() == expected.tolist()
+
+    @pytest.mark.parametrize("root", (-1, -5, 5, 6))
+    def test_out_of_range_root_raises(self, root):
+        stacked = BatchedGridCosts.from_arrays(float_stacks(2, 5, seed=2))
+        heuristics = instantiate(PAPER_HEURISTICS)
+        for heuristic in heuristics:
+            with pytest.raises(ValueError, match="root"):
+                batched_makespans(heuristic, stacked, root=root)
+            with pytest.raises(ValueError, match="root"):
+                batched_makespans(heuristic, stacked, root=root, lineup=heuristics)
+
+    def test_study_chunk_working_memory_stays_within_its_stacks(self):
+        """One Monte-Carlo chunk of the paper line-up (K = 10, n = 50) peaks
+        within a fixed multiple of its own cost stacks, drawing included.
+        It measures 1.84x on CPython 3.11 with NumPy 2.4; a (lanes, n, n)
+        copy of the weights or lookahead matrices would add about 2x more."""
+        config = SimulationStudyConfig(cluster_counts=(50,), iterations=10)
+        seeds = list(range(10))
+        stacks = RandomGridGenerator(config.ranges).cost_stacks(50, seeds)
+        stack_bytes = sum(array.nbytes for array in stacks.values())
+        arguments = (
+            PAPER_HEURISTICS, 50, seeds, config.message_size, 0, config.ranges
+        )
+        _evaluate_chunk(*arguments)  # warm imports and caches
+        tracemalloc.start()
+        try:
+            _evaluate_chunk(*arguments)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * stack_bytes, (peak, stack_bytes)
+
+
+class TestFromArrays:
+    def test_adopts_well_formed_stacks(self):
+        arrays = float_stacks(3, 4, seed=0)
+        stacked = BatchedGridCosts.from_arrays(arrays)
+        assert (stacked.num_grids, stacked.num_clusters) == (3, 4)
+        assert stacked.transfer is arrays["transfer"]
+
+    def test_rejects_empty_stacks(self):
+        arrays = {name: array[:0] for name, array in float_stacks(2, 4, 0).items()}
+        with pytest.raises(ValueError, match="at least one"):
+            BatchedGridCosts.from_arrays(arrays)
+
+    def test_rejects_non_square_stacks(self):
+        arrays = float_stacks(2, 4, seed=0)
+        arrays = {**arrays, "gap": arrays["gap"][:, :3, :]}
+        with pytest.raises(ValueError, match="same size"):
+            BatchedGridCosts.from_arrays(arrays)
+
+    @pytest.mark.parametrize("name", ("gap", "latency", "transfer", "broadcast"))
+    def test_rejects_mismatched_stacks(self, name):
+        arrays = float_stacks(2, 4, seed=0)
+        arrays[name] = float_stacks(3, 4, seed=0)[name]
+        with pytest.raises(ValueError, match="same size"):
+            BatchedGridCosts.from_arrays(arrays)
+        arrays[name] = float_stacks(2, 5, seed=0)[name]
+        with pytest.raises(ValueError, match="same size"):
+            BatchedGridCosts.from_arrays(arrays)
