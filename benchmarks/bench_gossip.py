@@ -12,7 +12,10 @@ records what that buys:
   contract — so their measured ratio is floored by that common cost; it is
   recorded informationally below, not gated.)
 * **scale trajectory** — rounds/s for fanout-4 push at 10^4, 10^5 and 10^6
-  nodes, the sizes the scalar engine could never touch.
+  nodes, the sizes the scalar engine could never touch, plus fanout-4 EpTO
+  at 10^6 nodes: EpTO keeps relaying until every TTL budget is spent, so
+  about half of its rounds run after everyone reachable is informed — the
+  rounds whose peer draw the engine skips.
 
 The two engines are verified bit-identical on the timed specs *before* any
 timing is recorded — a fast wrong answer is not a result.  Rounds/s and
@@ -39,12 +42,19 @@ SIZES = (10_000, 100_000, 1_000_000)
 FANOUT = 4
 SEED = 20060331
 
+#: The post-delivery-tail workload: fanout-4 EpTO at the largest size.
+EPTO_NODES = 1_000_000
+
 #: The floor workload: draw-free binomial tree at the scalar-feasible size.
 FLOOR_NODES = 10_000
 
 
 def _push_spec(num_nodes: int) -> GossipSpec:
     return GossipSpec(protocol="push", num_nodes=num_nodes, fanout=FANOUT, seed=SEED)
+
+
+def _epto_spec(num_nodes: int) -> GossipSpec:
+    return GossipSpec(protocol="epto", num_nodes=num_nodes, fanout=FANOUT, seed=SEED)
 
 
 def _tree_spec(num_nodes: int) -> GossipSpec:
@@ -66,6 +76,27 @@ def _time_run(spec: GossipSpec, engine: str, *, repeats: int = 1):
         result = run_gossip(spec, engine=engine)
         best = min(best, time.perf_counter() - started)
     return best, result
+
+
+def _trajectory_point(spec: GossipSpec) -> tuple[dict, dict]:
+    """Time one vectorized run: its table row and its JSON section."""
+    seconds, result = _time_run(spec, "vectorized")
+    assert result.delivered_count == spec.num_nodes  # no churn: full delivery
+    rounds_per_s = result.rounds_executed / seconds
+    row = {
+        "nodes": float(spec.num_nodes),
+        "rounds": float(result.rounds_executed),
+        "seconds": seconds,
+        "rounds_per_s": rounds_per_s,
+        "delivered": float(result.delivered_count),
+    }
+    section = {
+        "rounds": result.rounds_executed,
+        "seconds": seconds,
+        "rounds_per_s": rounds_per_s,
+        "node_rounds_per_s": spec.num_nodes * rounds_per_s,
+    }
+    return row, section
 
 
 def test_gossip_engine_throughput():
@@ -90,23 +121,9 @@ def test_gossip_engine_throughput():
     rows = []
     sections: dict[str, dict] = {}
     for num_nodes in SIZES:
-        seconds, result = _time_run(_push_spec(num_nodes), "vectorized")
-        rows.append(
-            {
-                "nodes": float(num_nodes),
-                "rounds": float(result.rounds_executed),
-                "seconds": seconds,
-                "rounds_per_s": result.rounds_executed / seconds,
-                "delivered": float(result.delivered_count),
-            }
-        )
-        sections[str(num_nodes)] = {
-            "rounds": result.rounds_executed,
-            "seconds": seconds,
-            "rounds_per_s": result.rounds_executed / seconds,
-            "node_rounds_per_s": num_nodes * result.rounds_executed / seconds,
-        }
-        assert result.delivered_count == num_nodes  # no churn: full delivery
+        row, sections[str(num_nodes)] = _trajectory_point(_push_spec(num_nodes))
+        rows.append(row)
+    epto_row, epto_section = _trajectory_point(_epto_spec(EPTO_NODES))
 
     emit(
         render_table(
@@ -117,6 +134,13 @@ def test_gossip_engine_throughput():
                 f"{scalar_seconds * 1000:.1f}ms vs vectorized "
                 f"{vectorized_seconds * 1000:.2f}ms -> speedup {speedup:.1f}x"
             ),
+            precision=4,
+        )
+    )
+    emit(
+        render_table(
+            [epto_row],
+            title=f"Vectorized gossip engine (epto, fanout {FANOUT}, TTL-ball tail)",
             precision=4,
         )
     )
@@ -131,6 +155,7 @@ def test_gossip_engine_throughput():
             "push_speedup_draw_bounded": push_scalar_seconds
             / push_vectorized_seconds,
             "vectorized_push": sections,
+            "vectorized_epto": {str(EPTO_NODES): epto_section},
         },
         path=BENCH_GOSSIP_JSON_FILE,
     )

@@ -16,14 +16,22 @@ Two engines share one contract:
   same per-round draws, kept as ground truth (``tests/test_gossip.py``
   asserts bit-identical results on every protocol, churn on and off).
 
-**Determinism contract.**  Every round's fanout targets are drawn in one bulk
-call from ``derive_seed(seed, "gossip/targets", protocol, round)`` — for
-*all* nodes, whether or not they send that round — so the draw stream never
-depends on the informed set's evolution, on the engine, or on how a study
-chunks its runs.  Churn schedules and per-round noise factors come from their
-own derived seeds the same way.  Both engines make their stop decision
-through one shared helper on plain integer counts, so they execute exactly
-the same rounds.
+**Determinism contract.**  Every round's fanout targets are *defined* by
+one bulk draw from ``derive_seed(seed, "gossip/targets", protocol, round)``
+over *all* nodes, whether or not they send that round
+(:func:`_round_targets`), so the draw stream never depends on the informed
+set's evolution, on the engine, or on how a study chunks its runs.  The
+vectorized engine reads that definition lazily: it takes the raw draw and
+shifts past the drawing node only the rows it reads (senders, and pullers
+for ``pushpull``), which yields exactly those rows of the full shifted draw.
+A round in which no uninformed node can still be alive next round (nothing
+*reachable*) informs nobody whatever the targets are, so the vectorized
+engine skips its draw and scatter outright; every round's draw has its own
+seed, so skipping one never shifts another, and the round's message count
+and TTL decrement still run.  Churn schedules and per-round noise factors
+come from their own derived seeds the same way.  Both engines make their
+stop decision through one shared helper on plain integer counts, so they
+execute exactly the same rounds.
 """
 
 from __future__ import annotations
@@ -65,25 +73,52 @@ def gossip_round_time(
     return params.latency + spec.sends_per_sender * params.gap(message_size)
 
 
-def _round_targets(spec: GossipSpec, round_index: int) -> np.ndarray:
-    """The ``(num_nodes, fanout)`` peer draw of one round, self-excluded.
+def _raw_targets(spec: GossipSpec, round_index: int) -> np.ndarray:
+    """The raw seeded ``(num_nodes, fanout)`` peer draw of one round.
 
-    Drawn for every node in one bulk call from a seed keyed on
-    ``(seed, protocol, round)`` — a node's row is its targets *if* it sends
-    this round; unused rows cost nothing but keep the stream independent of
-    the infection state, which is what makes the scalar and vectorized
-    engines (and any study chunking) bit-identical.  Targets are sampled
-    with replacement, as the epidemic literature assumes; the raw draw is
-    over ``n - 1`` values and shifted past the drawing node, so a node never
-    picks itself.
+    One bulk call over ``n - 1`` values from a seed keyed on
+    ``(seed, protocol, round)``, not yet shifted past the drawing node —
+    :func:`_round_targets` shifts every row, :func:`_target_rows` only the
+    rows a round reads.
     """
-    n = spec.num_nodes
     rng = np.random.default_rng(
         derive_seed(spec.seed, "gossip/targets", spec.protocol, round_index)
     )
-    raw = rng.integers(0, n - 1, size=(n, spec.fanout))
-    raw += raw >= np.arange(n)[:, None]
+    return rng.integers(0, spec.num_nodes - 1, size=(spec.num_nodes, spec.fanout))
+
+
+def _round_targets(spec: GossipSpec, round_index: int) -> np.ndarray:
+    """The ``(num_nodes, fanout)`` peer draw of one round, self-excluded.
+
+    The definition of a round's targets: drawn for every node in one bulk
+    call, a node's row is its targets *if* it sends (or pulls) this round.
+    Drawing rows that nobody reads keeps the stream independent of the
+    infection state, which is what makes the scalar and vectorized engines
+    (and any study chunking) bit-identical.  Targets are sampled with
+    replacement, as the epidemic literature assumes; the raw draw is over
+    ``n - 1`` values and shifted past the drawing node, so a node never
+    picks itself.  The scalar reference consumes this full array; the
+    vectorized engine reads the same rows through :func:`_target_rows`.
+    """
+    raw = _raw_targets(spec, round_index)
+    raw += raw >= np.arange(spec.num_nodes)[:, None]
     return raw
+
+
+def _target_rows(raw: np.ndarray, nodes: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Rows ``nodes`` of the shifted draw, i.e. ``_round_targets(...)[nodes]``.
+
+    ``raw`` is the round's :func:`_raw_targets`; only the gathered rows are
+    shifted past their own node, so a round pays for the rows it reads
+    rather than for all ``n``.  The rows land in ``out``, a C-contiguous
+    ``(len(nodes), fanout)`` ``int64`` buffer, which is returned.
+    """
+    # Each row moves as one opaque item: a plain axis-0 take copies it
+    # element by element, about twice as slow for a fanout-wide row.
+    whole_row = np.dtype((np.void, raw.itemsize * raw.shape[1]))
+    raw.view(whole_row).take(nodes, axis=0, out=out.view(whole_row))
+    out += out >= nodes[:, None]
+    return out
 
 
 def _should_stop(
@@ -269,27 +304,42 @@ def run_gossip(spec: GossipSpec, *, engine: str = "vectorized") -> GossipRunResu
 
 
 def _run_vectorized(spec: GossipSpec) -> GossipRunResult:
-    """One flat NumPy pass per round over the whole network."""
+    """One flat NumPy pass per round, drawing only when someone is reachable."""
     n = spec.num_nodes
     protocol = spec.protocol
     fanout = spec.fanout
     join, leave = churn_schedule(spec)
+    # Round numbers fit int16 (rounds <= MAX_ROUNDS) and a TTL budget its
+    # smallest unsigned type: the per-round alive, reachable and TTL passes
+    # then stream a fraction of the int64 bytes.
+    join_small, leave_small = join.astype(np.int16), leave.astype(np.int16)
     informed_round = np.full(n, -1, dtype=np.int64)
     informed_round[spec.root] = 0
     ttl = spec.effective_ttl if protocol == "epto" else 0
-    ttl_left = np.zeros(n, dtype=np.int64)
+    ttl_left = np.zeros(n, dtype=np.min_scalar_type(ttl))
     if protocol == "epto":
         ttl_left[spec.root] = ttl
-    ranks = np.arange(n)
-    offsets = (ranks - spec.root) % n if protocol == "tree" else None
+    offsets = (np.arange(n) - spec.root) % n if protocol == "tree" else None
+    # Reused every round: the scatter target and, for the drawing protocols,
+    # the gathered target rows (senders and pullers are disjoint, so both
+    # gathers of a pushpull round fit side by side).
+    hit = np.zeros(n, dtype=bool)
+    rows_buffer = (
+        np.empty((n, fanout), dtype=np.int64)
+        if protocol in ("push", "pushpull", "epto")
+        else None
+    )
     messages: list[int] = []
     # Rolling state, updated in place each round: `informed` mirrors
     # `informed_round >= 0` (the informed set only grows) and `alive_now`
     # becomes the previous round's `alive_next` — one pass each instead of
     # recomputing from the int arrays every round.
     informed = informed_round >= 0
-    alive_now = (join <= 0) & (leave > 0)
-    needs_reachable = protocol in ("push", "pushpull")
+    alive_now = (join_small <= 0) & (leave_small > 0)
+    # Uninformed nodes that could still be alive next round.  It never grows
+    # (the informed set only grows, `leave > r + 1` only shrinks), so once it
+    # reaches 0 it is not recounted.
+    reachable = n
 
     for round_index in range(spec.rounds):
         if protocol == "flood":
@@ -307,47 +357,52 @@ def _run_vectorized(spec: GossipSpec) -> GossipRunResult:
             )
         else:
             senders = informed & alive_now
-        num_senders = int(senders.sum())
-        reachable = (
-            int(((~informed) & (leave > round_index + 1)).sum())
-            if needs_reachable
-            else 0
-        )
+        num_senders = int(np.count_nonzero(senders))
+        if reachable:
+            reachable = int(
+                np.count_nonzero(~informed & (leave_small > round_index + 1))
+            )
         if _should_stop(protocol, round_index, n, num_senders, reachable):
             break
 
-        alive_next = (join <= round_index + 1) & (leave > round_index + 1)
-        new = np.zeros(n, dtype=bool)
-        if protocol == "flood":
-            count = num_senders * (n - 1)
-            if num_senders:
-                new = (~informed) & alive_next
-        elif protocol == "tree":
-            count = num_senders
-            hit = np.zeros(n, dtype=bool)
-            hit[(offsets[senders] + pow2 + spec.root) % n] = True
-            new = hit & (~informed) & alive_next
-        else:
-            targets = _round_targets(spec, round_index)
-            count = num_senders * fanout
-            hit = np.zeros(n, dtype=bool)
-            hit[targets[senders].ravel()] = True
-            new = hit & (~informed) & alive_next
-            if protocol == "pushpull":
-                pullers = alive_now & (~informed)
-                pulled = targets[pullers]
-                available = informed & alive_now
-                replied = available[pulled]
-                count += int(pullers.sum()) * fanout + int(replied.sum())
-                pull_new = np.zeros(n, dtype=bool)
-                pull_new[ranks[pullers][replied.any(axis=1)]] = True
-                new |= pull_new & alive_next
-        informed_round[new] = round_index + 1
-        informed |= new
-        alive_now = alive_next
+        alive_next = (join_small <= round_index + 1) & (leave_small > round_index + 1)
+        count = num_senders * spec.sends_per_sender
+        # With nothing reachable, `new` (a subset of the uninformed nodes
+        # alive next round) is empty whatever the targets: skip the draw and
+        # the scatter.  push/pushpull never get here — they stop instead.
+        if reachable:
+            if protocol == "flood":
+                hit.fill(True)  # a fresh sender reaches every other node
+            elif protocol == "tree":
+                hit[(offsets[senders] + pow2 + spec.root) % n] = True
+            else:
+                raw = _raw_targets(spec, round_index)
+                sender_nodes = np.flatnonzero(senders)
+                used = sender_nodes.size
+                hit[_target_rows(raw, sender_nodes, rows_buffer[:used])] = True
+                if protocol == "pushpull":
+                    puller_nodes = np.flatnonzero(alive_now & ~informed)
+                    pulled = _target_rows(
+                        raw, puller_nodes, rows_buffer[used : used + puller_nodes.size]
+                    )
+                    replied = (informed & alive_now)[pulled]
+                    count += puller_nodes.size * fanout + int(np.count_nonzero(replied))
+                    # OR the slot columns: several times faster than a
+                    # fanout-wide `any(axis=1)` per row.
+                    pulled_in = replied[:, 0].copy()
+                    for column in replied.T[1:]:
+                        pulled_in |= column
+                    hit[puller_nodes[pulled_in]] = True
+                del raw  # or the next round's draw would briefly hold two
+            new_nodes = np.flatnonzero(hit & alive_next & ~informed)
+            hit.fill(False)
+            informed_round[new_nodes] = round_index + 1
+            informed[new_nodes] = True
+            if protocol == "epto":
+                ttl_left[new_nodes] = ttl
         if protocol == "epto":
-            ttl_left[new] = ttl
-            ttl_left[senders] -= 1
+            ttl_left -= senders
+        alive_now = alive_next
         messages.append(count)
 
     return GossipRunResult(
@@ -357,7 +412,7 @@ def _run_vectorized(spec: GossipSpec) -> GossipRunResult:
         rounds_executed=len(messages),
         join_round=join,
         leave_round=leave,
-        final_ttl=ttl_left if protocol == "epto" else None,
+        final_ttl=ttl_left.astype(np.int64) if protocol == "epto" else None,
     )
 
 

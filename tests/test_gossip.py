@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repro.cli import main
 from repro.experiments.gossip_study import (
@@ -20,7 +21,13 @@ from repro.gossip import (
     gossip_round_time,
     run_gossip,
 )
-from repro.gossip.engine import DEFAULT_GOSSIP_PARAMS
+from repro.gossip import engine
+from repro.gossip.engine import (
+    DEFAULT_GOSSIP_PARAMS,
+    _raw_targets,
+    _round_targets,
+    _target_rows,
+)
 from repro.runtime.chunking import gossip_cost
 from repro.simulator.batch import execute_programs
 from repro.simulator.execution import execute_program
@@ -29,6 +36,9 @@ from repro.topology.cluster import Cluster
 from repro.topology.grid import Grid
 
 CHURN = ChurnSpec(leave_fraction=0.25, join_fraction=0.15)
+#: Heavy late joining: rounds where every alive node is informed while
+#: late joiners are still reachable.
+JOIN_CHURN = ChurnSpec(leave_fraction=0.2, join_fraction=0.3)
 
 
 def small_spec(protocol: str, *, churn: ChurnSpec | None = None, seed: int = 11):
@@ -113,7 +123,9 @@ class TestEngineBitIdentity:
     """The tentpole contract: scalar and vectorized engines never diverge."""
 
     @pytest.mark.parametrize("protocol", GOSSIP_PROTOCOLS)
-    @pytest.mark.parametrize("churn", [None, CHURN], ids=["nochurn", "churn"])
+    @pytest.mark.parametrize(
+        "churn", [None, CHURN, JOIN_CHURN], ids=["nochurn", "churn", "joinchurn"]
+    )
     @pytest.mark.parametrize("seed", [3, 20060331])
     def test_scalar_matches_vectorized(self, protocol, churn, seed):
         spec = small_spec(protocol, churn=churn, seed=seed)
@@ -132,6 +144,73 @@ class TestEngineBitIdentity:
     def test_rejects_unknown_engine(self):
         with pytest.raises(ValueError, match="engine"):
             run_gossip(small_spec("push"), engine="quantum")
+
+
+@st.composite
+def row_reads(draw):
+    """A push spec, a round and a subset of its nodes in arbitrary order."""
+    num_nodes = draw(st.integers(min_value=2, max_value=40))
+    fanout = draw(st.integers(min_value=1, max_value=num_nodes - 1))
+    seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
+    round_index = draw(st.integers(min_value=0, max_value=8))
+    nodes = draw(
+        st.lists(st.integers(min_value=0, max_value=num_nodes - 1), unique=True)
+    )
+    return num_nodes, fanout, seed, round_index, nodes
+
+
+class TestLazyTargetRows:
+    """The vectorized engine reads the round draw row by row, lazily."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(case=row_reads())
+    @example(case=(2, 1, 0, 0, [0, 1]))
+    @example(case=(2, 1, 5, 3, [1, 0]))
+    @example(case=(17, 16, 9, 2, [16, 0, 8]))
+    @example(case=(6, 2, 1, 1, []))
+    def test_row_helper_equals_full_draw_rows(self, case):
+        num_nodes, fanout, seed, round_index, picks = case
+        spec = GossipSpec(
+            protocol="push", num_nodes=num_nodes, fanout=fanout, seed=seed
+        )
+        nodes = np.asarray(picks, dtype=np.intp)
+        expected = _round_targets(spec, round_index)[nodes]
+        raw = _raw_targets(spec, round_index)
+        pristine = raw.copy()
+        buffer = np.empty((num_nodes, fanout), dtype=np.int64)
+        rows = _target_rows(raw, nodes, buffer[: nodes.size])
+        assert np.array_equal(rows, expected)
+        # The raw draw is read, never shifted in place: pushpull gathers
+        # its sender and puller rows from the same draw.
+        assert np.array_equal(raw, pristine)
+
+    @pytest.mark.parametrize(
+        "churn", [None, ChurnSpec(leave_fraction=0.2)], ids=["nochurn", "leave"]
+    )
+    def test_epto_draws_only_while_someone_is_reachable(self, churn, monkeypatch):
+        spec = small_spec("epto", churn=churn)
+        scalar = run_gossip(spec, engine="scalar")
+        drawn: list[int] = []
+
+        def counting_raw_targets(spec, round_index):
+            drawn.append(round_index)
+            return _raw_targets(spec, round_index)
+
+        monkeypatch.setattr(engine, "_raw_targets", counting_raw_targets)
+        vectorized = run_gossip(spec)
+        reachable_rounds = [
+            round_index
+            for round_index in range(scalar.rounds_executed)
+            if np.any(
+                ~((scalar.informed_round >= 0) & (scalar.informed_round <= round_index))
+                & (scalar.leave_round > round_index + 1)
+            )
+        ]
+        assert drawn == reachable_rounds
+        assert 0 < len(drawn) < scalar.rounds_executed  # a skipped TTL tail
+        assert np.array_equal(vectorized.messages_per_round, scalar.messages_per_round)
+        assert np.array_equal(vectorized.final_ttl, scalar.final_ttl)
+        assert np.array_equal(vectorized.informed_round, scalar.informed_round)
 
 
 class TestEngineBehaviour:

@@ -1726,7 +1726,7 @@ class TestChaosRemoteLane:
         process.wait(timeout=15)
 
     def test_all_five_drivers_bit_identical_under_injected_crash(
-        self, heterogeneous_grid
+        self, heterogeneous_grid, monkeypatch
     ):
         """Agent #0 is killed (SIGKILL, reconnects refused) after two
         results, with jittery sends on the survivor; all five study drivers
@@ -1752,12 +1752,25 @@ class TestChaosRemoteLane:
             inline = run_practical_study(practical, workers=0)
             assert np.array_equal(inline.measured, remote.measured)
             assert np.array_equal(inline.predicted, remote.predicted)
-            # Enough direct deliveries to guarantee #0 reaches its crash
-            # trigger (a short study may route it fewer than two results).
+            # Force #0's crash trigger: cost routing may have sent it fewer
+            # than two results so far, so the warm-up is routed to #0 for as
+            # long as it lives (its capacity puts at least two frames on its
+            # wire at once); once it dies, requeues route normally.
+            doomed = pool._agents[0]
+            route = pool._route
+            monkeypatch.setattr(
+                pool, "_route", lambda job: doomed if doomed.alive else route(job)
+            )
             warmup = [pool.submit(derive_seed, index) for index in range(8)]
             assert [handle.get(timeout=60) for handle in warmup] == [
                 derive_seed(index) for index in range(8)
             ]
+            monkeypatch.undo()
+            # A result settles its handle before the crash is injected on
+            # #0's receiver thread, and that thread ends only after the link
+            # is torn down: wait for it, bounded, instead of racing it.
+            doomed._receiver.join(timeout=30)
+            assert not doomed._receiver.is_alive()
             assert any(not link.alive for link in pool._agents)  # it died
             assert pool.reconnects == 0  # a crashed agent never rejoins
             seeds = run_simulation_study(simulation, workers=2, pool=pool)
