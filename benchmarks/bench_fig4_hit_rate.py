@@ -6,7 +6,7 @@ of a heuristic is the number of iterations where it matches that minimum.
 
 Paper finding: ECEF, ECEF-LA and ECEF-LAt lose efficiency as the cluster count
 grows while ECEF-LAT stays roughly constant around 45 %.  **Known divergence**
-(see EXPERIMENTS.md): under our pLogP timing model the grid-aware lookaheads'
+(see ``docs/reproducing.md``): under our pLogP timing model the grid-aware lookaheads'
 T-signal (the spread between the largest remaining broadcast times, which
 shrinks like 1/n) is drowned by the per-pair gap variance for large cluster
 counts, so ECEF/ECEF-LA keep the highest hit rates instead.  The benchmark

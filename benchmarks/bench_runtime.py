@@ -34,6 +34,7 @@ from repro.experiments.config import (
 from repro.experiments.practical_study import run_practical_study
 from repro.mpi.bcast import binomial_bcast_program
 from repro.mpi.scatter import flat_scatter_program
+from repro.runtime.chunking import choose_executor, program_cost
 from repro.runtime.pool import get_pool
 from repro.runtime.transport import shared_memory_available
 from repro.simulator.batch import ExecutionTask, execute_programs
@@ -123,16 +124,15 @@ def test_pipelined_end_to_end():
     )
 
 
-def test_thread_vs_process_crossover():
-    """The executor crossover: thread lane vs process lane, small and large.
+def test_auto_lane_crossover():
+    """The executor crossover: inline vs ``auto`` vs the process lane.
 
-    The thread lane (``executor="thread"``) ships nothing — workers read the
-    parent's compiled arrays in place — so on a *small* batch, whose
-    execution cannot amortise process shipping and result pickling, it must
-    beat the process lane outright; that floor is recorded in
-    ``BENCH_runtime.json`` and enforced by ``check_regression.py``.  The
-    *large* batch is recorded alongside (no floor) so the crossover that
-    ``executor="auto"`` exploits stays visible across PRs.
+    ``executor="auto"`` runs a batch too small to amortise process shipping
+    inline and everything else on the process lane.  On the *small* batch
+    it must therefore beat process fan-out outright; that floor is recorded
+    in ``BENCH_runtime.json`` and enforced by ``check_regression.py``.  The
+    *large* batch is recorded alongside (no floor), with the lane ``auto``
+    picked for each batch, so the crossover stays visible across PRs.
     """
     grid = build_grid5000_topology()
     config = NetworkConfig(noise_sigma=NOISE_SIGMA, seed=SEED)
@@ -152,43 +152,50 @@ def test_thread_vs_process_crossover():
     # 8 tasks ~ one practical-sweep curve point: the canonical small batch.
     workloads = {"small_batch": build_tasks(8), "large_batch": build_tasks(320)}
     get_pool(WORKERS)  # warm the process pool
-    get_pool(WORKERS, kind="thread")  # and the thread pool
 
     def run(tasks, lane: str):
+        inline = lane == "inline"
         return execute_programs(
             grid,
             tasks,
             config=config,
             collect_traces=False,
-            workers=WORKERS,
-            executor=lane,
+            workers=0 if inline else WORKERS,
+            executor=None if inline else lane,
         )
 
+    lanes = ("inline", "auto", "process")
     sections: dict[str, dict] = {}
-    lines = [f"Thread vs process executor lanes (workers={WORKERS}):"]
+    lines = [f"Inline vs auto vs process executor lanes (workers={WORKERS}):"]
     for name, tasks in workloads.items():
-        reference = [r.makespan for r in run(tasks, "thread")]
-        assert [r.makespan for r in run(tasks, "process")] == reference
+        reference = [r.makespan for r in run(tasks, "inline")]
+        for lane in lanes[1:]:
+            assert [r.makespan for r in run(tasks, lane)] == reference
         repetitions = 20 if name == "small_batch" else 3
         seconds = {
             lane: _best_of(lambda lane=lane: run(tasks, lane), repetitions)
-            for lane in ("thread", "process")
+            for lane in lanes
         }
-        speedup = seconds["process"] / seconds["thread"]
+        auto_lane = choose_executor(
+            "auto", sum(program_cost(task.program) for task in tasks)
+        )
+        speedup = seconds["process"] / seconds["auto"]
         sections[name] = {
             "tasks": len(tasks),
+            "auto_lane": auto_lane,
             "seconds": seconds,
-            "speedup_thread_vs_process": speedup,
+            "speedup_auto_vs_process": speedup,
         }
         lines.append(
-            f"  {name} ({len(tasks)} tasks): thread "
-            f"{seconds['thread'] * 1e3:7.2f} ms, process "
+            f"  {name} ({len(tasks)} tasks): inline "
+            f"{seconds['inline'] * 1e3:7.2f} ms, auto ({auto_lane}) "
+            f"{seconds['auto'] * 1e3:7.2f} ms, process "
             f"{seconds['process'] * 1e3:7.2f} ms  "
-            f"(thread {speedup:.2f}x process)"
+            f"(auto {speedup:.2f}x process)"
         )
     emit("\n".join(lines))
     emit_json(
-        "thread_vs_process",
+        "auto_vs_process",
         {
             "grid": "grid5000-table3",
             "noise_sigma": NOISE_SIGMA,
@@ -199,9 +206,9 @@ def test_thread_vs_process_crossover():
         },
         path=BENCH_RUNTIME_JSON_FILE,
     )
-    # The acceptance bar: on the small batch the shipping-free thread lane
-    # must beat process fan-out.
-    assert sections["small_batch"]["speedup_thread_vs_process"] >= 1.1
+    # The acceptance bar: on the small batch auto (inline) must beat
+    # process fan-out.
+    assert sections["small_batch"]["speedup_auto_vs_process"] >= 1.1
 
 
 def test_remote_loopback_lane():

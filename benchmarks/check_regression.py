@@ -15,10 +15,10 @@ perf wins of past PRs cannot silently rot:
   ratio is taken on one machine within one run, so box speed cancels out),
 * batched measured sweep     >=  5x the per-run scalar loop
   (``BENCH_practical.json``, replicated section),
-* thread executor lane       >= 1.1x the process lane on the small-batch
-  workload (``BENCH_runtime.json``, thread_vs_process section — the
-  shipping-free lane must keep beating shipped fan-out where "auto"
-  selects it),
+* auto executor lane         >= 1.1x the process lane on the small-batch
+  workload (``BENCH_runtime.json``, auto_vs_process section — where
+  "auto" runs a batch inline, skipping shipping must keep beating shipped
+  fan-out),
 * remote executor lane       >= 0.5x the process lane on the loopback
   practical sweep (``BENCH_runtime.json``, remote_loopback section — wire
   framing and socket hops must never halve the lane's throughput; across
@@ -82,7 +82,7 @@ FLOORS: tuple[tuple[str, tuple[str, ...], float], ...] = (
     ),
     (
         "BENCH_runtime.json",
-        ("thread_vs_process", "small_batch", "speedup_thread_vs_process"),
+        ("auto_vs_process", "small_batch", "speedup_auto_vs_process"),
         1.1,
     ),
     (

@@ -5,7 +5,7 @@ and prints the corresponding rows/series, so the console output of::
 
     pytest benchmarks/ --benchmark-only -s
 
-doubles as the data source for EXPERIMENTS.md.  The Monte-Carlo iteration
+doubles as the data source for ``docs/reproducing.md``.  The Monte-Carlo iteration
 counts default to values that finish in seconds; set the environment variable
 ``REPRO_BENCH_ITERATIONS`` to a larger number (the paper used 10 000) for
 tighter averages.
@@ -61,7 +61,7 @@ def emit(text: str) -> None:
     """Record a result table.
 
     The table is appended to ``benchmarks/results/paper_artifacts.txt`` (the
-    durable record used by EXPERIMENTS.md) and also written to stderr so that
+    durable record behind ``docs/reproducing.md``) and also written to stderr so that
     running pytest with ``-s`` shows it inline.
     """
     RESULTS_FILE.parent.mkdir(parents=True, exist_ok=True)

@@ -25,9 +25,9 @@
 
 Worker counts default to the ``REPRO_MC_WORKERS`` / ``REPRO_PRACTICAL_WORKERS``
 environment variables with the shared ``REPRO_WORKERS`` fallback; the fan-out
-lane defaults to ``REPRO_EXECUTOR`` (see ``--executor``: threads skip
-shipping entirely, processes ship through the study runtime — shared memory
-when available, pickle otherwise).
+lane defaults to ``REPRO_EXECUTOR`` (see ``--executor``: processes ship
+through the study runtime — shared memory when available, pickle otherwise —
+and ``auto`` runs batches too small to amortise that inline).
 
 Every option's help string states its effective default; ``tests/test_cli.py``
 asserts help text and parser defaults stay in sync.
@@ -66,12 +66,12 @@ from repro.utils.rng import RandomStream
 def _add_executor_option(sub_parser: argparse.ArgumentParser) -> None:
     sub_parser.add_argument(
         "--executor",
-        choices=("auto", "thread", "process", "remote"),
+        choices=("auto", "process", "remote"),
         default=None,
-        help="worker fan-out lane: threads read parent arrays in place (no "
-        "shipping), processes ship to a local worker pool, remote ships "
-        "chunks to the worker agents of --hosts; auto picks threads for small "
-        "batches (default: REPRO_EXECUTOR, then auto)",
+        help="worker fan-out lane: processes ship to a local worker pool, "
+        "remote ships chunks to the worker agents of --hosts; auto runs "
+        "small batches inline and the rest on processes (default: "
+        "REPRO_EXECUTOR, then auto)",
     )
     sub_parser.add_argument(
         "--hosts",

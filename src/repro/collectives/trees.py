@@ -12,8 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import networkx as nx
-
 
 @dataclass(frozen=True)
 class BroadcastTree:
@@ -97,14 +95,6 @@ class BroadcastTree:
             for child in kids:
                 result.append((parent, child))
         return result
-
-    def to_networkx(self) -> nx.DiGraph:
-        """Export the tree as a directed :mod:`networkx` graph."""
-        graph = nx.DiGraph(name=self.name)
-        graph.add_nodes_from(range(self.size))
-        for order, (parent, child) in enumerate(self.edges()):
-            graph.add_edge(parent, child, order=order)
-        return graph
 
 
 def binomial_tree(size: int) -> BroadcastTree:

@@ -190,8 +190,8 @@ def run_chained_study(
     engine:
         ``"batched"`` (default) or the scalar reference.
     executor:
-        Fan-out lane — ``"thread"`` / ``"process"`` / ``"remote"`` /
-        ``"auto"`` (default via ``REPRO_EXECUTOR``); see
+        Fan-out lane — ``"process"`` / ``"remote"`` / ``"auto"`` (default
+        via ``REPRO_EXECUTOR``; auto runs small sweeps inline); see
         :func:`~repro.simulator.batch.execute_programs`.  Chains stay
         atomic on every lane — a warm pipeline never spans two workers or
         two agents.  Worker chunks are balanced by per-stage message cost —

@@ -239,9 +239,9 @@ def run_gossip_study(
         ``None`` consults the ``REPRO_GOSSIP_WORKERS`` environment variable,
         then the shared ``REPRO_WORKERS``; ``0``/``1`` run in-process.
     executor:
-        Fan-out lane: ``"thread"``, ``"process"``, ``"remote"`` (cells framed
-        over sockets to the worker agents named by ``hosts`` /
-        ``REPRO_HOSTS``), or ``"auto"`` — threads when the study's total
+        Fan-out lane: ``"process"``, ``"remote"`` (cells framed over
+        sockets to the worker agents named by ``hosts`` /
+        ``REPRO_HOSTS``), or ``"auto"`` — inline when the study's total
         estimated cost (node-rounds, via
         :func:`repro.runtime.chunking.gossip_cost`) is too small to amortise
         process shipping, processes otherwise.  ``None`` consults
@@ -249,7 +249,6 @@ def run_gossip_study(
         bit-identical.
     pool:
         An explicit :class:`~repro.runtime.pool.StudyPool` /
-        :class:`~repro.runtime.pool.ThreadStudyPool` /
         :class:`~repro.runtime.remote.RemoteStudyPool`; defaults to the
         process-wide persistent pool of the chosen lane (a passed pool's
         ``kind`` wins over ``executor``).
@@ -276,14 +275,15 @@ def run_gossip_study(
     pool, worker_count = engage_remote_lane(
         pool, executor, workers, worker_count, hosts
     )
-    if worker_count > 1 and len(tasks) > 1:
-        if pool is not None:
-            study_pool = pool
-        else:
-            lane = choose_executor(executor, sum(cell_units))
-            study_pool = get_pool(worker_count, kind=lane, hosts=hosts)
+    fan_out = worker_count > 1 and len(tasks) > 1
+    if fan_out and pool is None:
+        lane = choose_executor(executor, sum(cell_units))
+        fan_out = lane != "inline"
+        if fan_out:
+            pool = get_pool(worker_count, kind=lane, hosts=hosts)
+    if fan_out:
         handles = [
-            study_pool.submit(_gossip_cell_task, task, units=units)
+            pool.submit(_gossip_cell_task, task, units=units)
             for task, units in zip(tasks, cell_units)
         ]
         for handle in handles:

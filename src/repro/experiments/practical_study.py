@@ -237,12 +237,11 @@ def run_practical_study(
         results — the scalar path exists as the reference for equivalence
         tests and benchmarks.
     executor:
-        Fan-out lane: ``"thread"`` (no shipping — workers read the parent's
-        compiled arrays in place), ``"process"``, ``"remote"`` (compiled
-        batches framed over sockets to the worker agents named by ``hosts``
-        / ``REPRO_HOSTS``, loopback agents otherwise), or ``"auto"``
-        (threads for sweeps too small to amortise shipping, processes
-        otherwise; auto never picks remote).  ``None`` consults
+        Fan-out lane: ``"process"``, ``"remote"`` (compiled batches framed
+        over sockets to the worker agents named by ``hosts`` /
+        ``REPRO_HOSTS``, loopback agents otherwise), or ``"auto"`` (inline
+        for sweeps too small to amortise shipping, processes otherwise;
+        auto never picks remote).  ``None`` consults
         ``REPRO_EXECUTOR``, then defaults to ``"auto"``.  Every lane is
         bit-identical.
     replicas:
@@ -253,7 +252,6 @@ def run_practical_study(
         bit for bit.
     pool:
         An explicit :class:`~repro.runtime.pool.StudyPool` /
-        :class:`~repro.runtime.pool.ThreadStudyPool` /
         :class:`~repro.runtime.remote.RemoteStudyPool`; defaults to the
         process-wide persistent pool of the chosen lane (a passed pool's
         ``kind`` wins over ``executor``).
@@ -303,10 +301,15 @@ def run_practical_study(
                 * grid.num_nodes
             )
             lane = choose_executor(executor, estimated_units)
-            study_pool = get_pool(worker_count, kind=lane, hosts=hosts)
-        pipelined = PipelinedExecutor(
-            grid, config=network_config, pool=study_pool, collect_traces=False
-        )
+            if lane != "inline":
+                study_pool = get_pool(worker_count, kind=lane, hosts=hosts)
+        if study_pool is None:
+            worker_count = 1  # auto chose inline: one in-process pass below
+        else:
+            pipelined = PipelinedExecutor(
+                grid, config=network_config, pool=study_pool,
+                collect_traces=False,
+            )
 
     # Build the measured sweep size by size.  Each task's noise stream is
     # keyed by (seed, curve label, message size[, replica]): stable under
@@ -524,7 +527,7 @@ def run_scatter_study(
 
     ``workers`` defaults from ``REPRO_PRACTICAL_WORKERS`` then the shared
     ``REPRO_WORKERS``; ``executor``
-    (``"thread"``/``"process"``/``"remote"``/``"auto"``, default from
+    (``"process"``/``"remote"``/``"auto"``, default from
     ``REPRO_EXECUTOR``) picks the fan-out lane; ``hosts`` (default from
     ``REPRO_HOSTS``) and ``pool`` behave as in
     :func:`~repro.simulator.batch.execute_programs`.  Results are
@@ -581,7 +584,7 @@ def run_alltoall_study(
 
     ``workers`` defaults from ``REPRO_PRACTICAL_WORKERS`` then the shared
     ``REPRO_WORKERS``; ``executor``
-    (``"thread"``/``"process"``/``"remote"``/``"auto"``, default from
+    (``"process"``/``"remote"``/``"auto"``, default from
     ``REPRO_EXECUTOR``) picks the fan-out lane; ``hosts`` (default from
     ``REPRO_HOSTS``) and ``pool`` behave as in
     :func:`~repro.simulator.batch.execute_programs`.  Results are

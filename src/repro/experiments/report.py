@@ -3,7 +3,7 @@
 The benchmarks print the same rows/series the paper's figures plot; these
 helpers format them as aligned ASCII tables so the console output of
 ``pytest benchmarks/ --benchmark-only`` doubles as the data behind
-EXPERIMENTS.md.
+``docs/reproducing.md``.
 """
 
 from __future__ import annotations

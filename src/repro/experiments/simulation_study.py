@@ -18,7 +18,7 @@ are generated from the same seeds only for heuristics without a batched
 kernel (e.g. ``optimal``), which fall back to the per-grid engine.
 
 Chunks can be fanned out over the persistent runtime pool
-(:mod:`repro.runtime.pool`) on the thread, process or remote lane; every lane
+(:mod:`repro.runtime.pool`) on the process or remote lane; every lane
 ships chunk *seeds*, and each worker draws its chunk's stacks itself, which
 is cheaper than shipping the stacks.  Every (cluster count, iteration) pair
 keeps its own deterministic child seed, so the results are bit-identical
@@ -238,18 +238,16 @@ def run_simulation_study(
         variable, then the shared ``REPRO_WORKERS``; ``0``/``1`` run
         in-process.
     executor:
-        Fan-out lane: ``"thread"`` (chunks pass to worker threads by
-        reference), ``"process"``, ``"remote"`` (chunks framed over sockets
-        to the worker agents named by ``hosts`` / ``REPRO_HOSTS``, loopback
-        agents otherwise), or ``"auto"`` — threads when the study's total
-        estimated cost (``iterations * clusters**2`` stacked-matrix cells)
-        is too small to amortise process start-up and shipping, processes
-        otherwise (auto never picks remote).  ``None`` consults
+        Fan-out lane: ``"process"``, ``"remote"`` (chunks framed over
+        sockets to the worker agents named by ``hosts`` / ``REPRO_HOSTS``,
+        loopback agents otherwise), or ``"auto"`` — inline when the study's
+        total estimated cost (``iterations * clusters**2`` stacked-matrix
+        cells) is too small to amortise process start-up and shipping,
+        processes otherwise (auto never picks remote).  ``None`` consults
         ``REPRO_EXECUTOR``, then defaults to ``"auto"``.  Every lane ships
         only chunk seeds and is bit-identical.
     pool:
         An explicit :class:`~repro.runtime.pool.StudyPool` /
-        :class:`~repro.runtime.pool.ThreadStudyPool` /
         :class:`~repro.runtime.remote.RemoteStudyPool`; defaults to the
         process-wide persistent pool of the chosen lane (a passed pool wins
         over ``executor``).
@@ -270,6 +268,15 @@ def run_simulation_study(
     pool, worker_count = engage_remote_lane(
         pool, executor, workers, worker_count, hosts
     )
+    lane = "inline"
+    if pool is None and worker_count > 1:
+        # Cost prior: one unit per stacked scheduling-matrix cell.
+        total_units = config.iterations * sum(
+            num_clusters * num_clusters for num_clusters in counts
+        )
+        lane = choose_executor(executor, total_units)
+        if lane == "inline":
+            worker_count = 1  # in-process: size chunks for one worker
     tasks = []
     for count_index, num_clusters in enumerate(counts):
         seeds = [parent_stream.spawn_seed() for _ in range(config.iterations)]
@@ -289,15 +296,9 @@ def run_simulation_study(
             )
 
     if worker_count > 1 and len(tasks) > 1:
-        study_pool = pool
-        if study_pool is None:
-            # Cost prior: one unit per stacked scheduling-matrix cell.
-            total_units = config.iterations * sum(
-                num_clusters * num_clusters for num_clusters in counts
-            )
-            lane = choose_executor(executor, total_units)
-            study_pool = get_pool(worker_count, kind=lane, hosts=hosts)
-        results = study_pool.imap_unordered(_evaluate_chunk_task, tasks)
+        if pool is None:
+            pool = get_pool(worker_count, kind=lane, hosts=hosts)
+        results = pool.imap_unordered(_evaluate_chunk_task, tasks)
     else:
         results = map(_evaluate_chunk_task, tasks)
     for count_index, start, values in results:

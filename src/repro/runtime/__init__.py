@@ -9,23 +9,20 @@ construction strictly serialised before measured execution.  This package is
 the subsystem that removes them, shared by every study driver and the CLI:
 
 * :mod:`repro.runtime.pool` — :class:`~repro.runtime.pool.StudyPool` (the
-  process lane) and :class:`~repro.runtime.pool.ThreadStudyPool` (the thread
-  lane: same submit/collect contract, workers read the parent's arrays in
-  place, nothing ships), both persistent — created once per process and
-  reused across studies (per-task seed derivation keeps results
-  bit-identical for any lane, pool lifetime, submission order or worker
-  count);
+  process lane), persistent — created once per process and reused across
+  studies (per-task seed derivation keeps results bit-identical for any
+  lane, pool lifetime, submission order or worker count);
 * :mod:`repro.runtime.transport` —
   :class:`~repro.runtime.transport.ArrayShipment`, zero-copy shipping of
   compiled program arrays through
   :mod:`multiprocessing.shared_memory`, with a pickle fallback chosen
-  automatically on platforms without it; process lane only — the thread
-  lane ships nothing;
+  automatically on platforms without it;
 * :mod:`repro.runtime.chunking` — cost-aware chunk sizing
   (:func:`~repro.runtime.chunking.partition_by_cost`, the in-memory
   :class:`~repro.runtime.chunking.CostModel`) and executor selection
   (:func:`~repro.runtime.chunking.choose_executor`,
-  ``executor="thread"|"process"|"auto"``);
+  ``executor="process"|"remote"|"auto"``, where ``"auto"`` runs small
+  batches inline);
 * :mod:`repro.runtime.pipeline` —
   :class:`~repro.runtime.pipeline.PipelinedExecutor`, the overlapped
   construct/measure driver the Table 3 sweep uses whenever a pool is in
@@ -54,7 +51,7 @@ executor lanes resolve through
 ``"auto"``).
 """
 
-from repro.runtime.pool import StudyPool, ThreadStudyPool, get_pool, shutdown_pool
+from repro.runtime.pool import StudyPool, get_pool, shutdown_pool
 from repro.runtime.transport import (
     ArrayShipment,
     shared_memory_available,
@@ -91,7 +88,6 @@ from repro.runtime.service import (
 
 __all__ = [
     "StudyPool",
-    "ThreadStudyPool",
     "get_pool",
     "shutdown_pool",
     "ArrayShipment",

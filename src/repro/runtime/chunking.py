@@ -18,12 +18,11 @@ sizes chunks from **per-task cost** instead:
 
 The same cost estimates drive **executor selection**
 (:func:`choose_executor`): ``executor="auto"`` runs small batches — the ones
-whose total estimated cost cannot amortise process-pool shipping — on the
-thread lane (:class:`~repro.runtime.pool.ThreadStudyPool`, zero shipping) and
-everything else on the process lane.  Neither chunking nor executor choice
-ever changes results: every task carries its own derived seed, so all
-partitions of all sizes on either lane are bit-identical (asserted by
-``tests/test_runtime.py``).
+whose total estimated cost cannot amortise process-pool shipping — inline in
+the calling process and everything else on the process lane.  Neither
+chunking nor executor choice ever changes results: every task carries its
+own derived seed, so all partitions of all sizes on every lane are
+bit-identical (asserted by ``tests/test_runtime.py``).
 """
 
 from __future__ import annotations
@@ -33,23 +32,23 @@ import os
 from typing import Any, Sequence
 
 #: Valid ``executor=`` values accepted by the runtime entry points and every
-#: study driver: ``"auto"`` (cost-based choice), ``"thread"``
-#: (:class:`~repro.runtime.pool.ThreadStudyPool`, no shipping), ``"process"``
-#: (:class:`~repro.runtime.pool.StudyPool` + transport) and ``"remote"``
-#: (:class:`~repro.runtime.remote.RemoteStudyPool` — chunks shipped over
-#: sockets to worker agents; never chosen by ``"auto"``, only explicitly).
-EXECUTORS = ("auto", "thread", "process", "remote")
+#: study driver: ``"auto"`` (cost-based choice between in-process and the
+#: process lane), ``"process"`` (:class:`~repro.runtime.pool.StudyPool` +
+#: transport) and ``"remote"`` (:class:`~repro.runtime.remote.RemoteStudyPool`
+#: — chunks shipped over sockets to worker agents; never chosen by
+#: ``"auto"``, only explicitly).
+EXECUTORS = ("auto", "process", "remote")
 
 #: Environment variable consulted when ``executor=None``; the shared way to
-#: force every study onto one lane (``REPRO_EXECUTOR=thread|process|auto``).
+#: force every study onto one lane (``REPRO_EXECUTOR=process|remote|auto``).
 EXECUTOR_ENV_VAR = "REPRO_EXECUTOR"
 
 #: An ``"auto"`` fan-out whose total estimated cost is at most this many units
-#: runs on the thread lane.  One unit is roughly one message (or one stacked
-#: scheduling-matrix cell); the threshold sits where the measured
-#: thread-vs-process crossover lands on the benchmark box (see
-#: ``benchmarks/bench_runtime.py``, section ``thread_vs_process``).
-AUTO_THREAD_MAX_UNITS = 4096
+#: runs inline, in the calling process.  One unit is roughly one message (or
+#: one stacked scheduling-matrix cell); below the threshold process shipping
+#: cannot pay for itself (see ``benchmarks/bench_runtime.py``, section
+#: ``auto_vs_process``).
+AUTO_INLINE_MAX_UNITS = 4096
 
 #: Prior throughput assumed before a study has observed any wall-time:
 #: roughly the batched measurement engine's per-message rate.  Only used to
@@ -88,21 +87,22 @@ def choose_executor(
     executor: str | None,
     total_units: float,
     *,
-    threshold: float = AUTO_THREAD_MAX_UNITS,
+    threshold: float = AUTO_INLINE_MAX_UNITS,
 ) -> str:
-    """The concrete lane (``"thread"`` or ``"process"``) for one fan-out.
+    """The concrete lane (``"inline"``, ``"process"`` or ``"remote"``) for
+    one fan-out.
 
-    ``"auto"`` picks the thread lane when the batch's total estimated cost is
-    at most ``threshold`` units — a batch that small finishes before process
-    shipping would have amortised — and the process lane otherwise.  Explicit
-    ``"thread"``/``"process"``/``"remote"`` always win; ``"auto"`` never
-    chooses the remote lane on its own (crossing a machine boundary is an
-    explicit decision — via ``executor="remote"`` or ``REPRO_EXECUTOR``).
+    ``"auto"`` runs the batch inline when its total estimated cost is at most
+    ``threshold`` units — a batch that small finishes before process
+    shipping would have amortised — and on the process lane otherwise.
+    Explicit ``"process"``/``"remote"`` always win; ``"auto"`` never chooses
+    the remote lane on its own (crossing a machine boundary is an explicit
+    decision — via ``executor="remote"`` or ``REPRO_EXECUTOR``).
     """
     resolved = resolve_executor(executor)
     if resolved != "auto":
         return resolved
-    return "thread" if total_units <= threshold else "process"
+    return "inline" if total_units <= threshold else "process"
 
 
 def program_cost(program: Any) -> int:
@@ -139,7 +139,7 @@ def compiled_cost(compiled_program: Any) -> int:
 
     Compiled programs (``repro.simulator.batch._CompiledProgram``) carry
     their flattened message list in ``dest``, so the message count is a
-    direct length.  Every dispatch path (pipelined, process, thread) must
+    direct length.  Every dispatch path (pipelined, process, remote) must
     price tasks through this one helper so the cost prior can never diverge
     between drivers.
     """
@@ -192,7 +192,7 @@ def aggregate_unit_costs(
 
     ``units`` are the half-open ``[start, end)`` task ranges produced by
     ``repro.simulator.batch._chain_units``.  Every dispatch path (pipelined,
-    process, thread) aggregates through this one helper before calling
+    process, remote) aggregates through this one helper before calling
     :func:`partition_by_cost`, so unit pricing can never diverge between
     drivers.
     """

@@ -14,8 +14,8 @@ every pLogP parameter evaluated for an early batch is reused by later ones.
 How a batch reaches the workers depends on the pool's lane: a process
 :class:`~repro.runtime.pool.StudyPool` receives each batch's compiled arrays
 through :mod:`repro.runtime.transport` (zero-copy shared memory when
-available), while a :class:`~repro.runtime.pool.ThreadStudyPool` receives the
-parent's compiled programs **by reference** — the thread lane ships nothing.
+available), while a :class:`~repro.runtime.remote.RemoteStudyPool` receives
+per-chunk wire frames.
 
 Chunking is adaptive: a skewed submission is split into cost-balanced
 worker chunks (per-task cost = program message count), and every completed
@@ -77,8 +77,7 @@ class PipelinedExecutor:
     pool:
         The worker pool to overlap against — a process
         :class:`~repro.runtime.pool.StudyPool` (batches ship through the
-        transport), a :class:`~repro.runtime.pool.ThreadStudyPool` (batches
-        pass by reference, nothing ships) or a
+        transport) or a
         :class:`~repro.runtime.remote.RemoteStudyPool` (batches framed over
         the wire to worker agents); ``None`` runs every submission
         synchronously in-process (bit-identical results, no overlap).
@@ -120,8 +119,8 @@ class PipelinedExecutor:
         """Queue one batch of tasks for execution.
 
         With a pool the batch is compiled and handed to the workers
-        immediately (shipped on the process lane, by reference on the thread
-        lane) — the call returns while they execute, so the caller can
+        immediately (shipped on the process lane, framed on the remote lane)
+        — the call returns while they execute, so the caller can
         construct the next batch in parallel.  Chains must be contained in a
         single submission.
         """
@@ -159,26 +158,7 @@ class PipelinedExecutor:
         bounds = self._bounds(normalized, costs, units)
         kind = getattr(self._pool, "kind", "process")
         chunk_units = [float(sum(costs[start:end])) for start, end in bounds]
-        if kind == "thread":
-            handles = [
-                self._pool.submit(
-                    _batch._execute_compiled_chunk,
-                    (
-                        start,
-                        compiled[start:end],
-                        seeds[start:end],
-                        resets[start:end],
-                        self._config.noise_sigma,
-                        self._config.receive_overhead,
-                        self._collect_traces,
-                        self._grid.num_nodes,
-                    ),
-                    units=chunk_units[index],
-                )
-                for index, (start, end) in enumerate(bounds)
-            ]
-            shipment = None
-        elif kind == "remote":
+        if kind == "remote":
             # Per-chunk wire bundles (see _batch._remote_chunk_jobs): every
             # frame carries only the arrays its chunk runs; nothing to
             # unlink afterwards, the frames own their bytes.

@@ -1,4 +1,4 @@
-"""The persistent study worker pools (process lane and thread lane).
+"""The persistent study worker pools.
 
 Before the runtime layer every study call spawned (and tore down) its own
 :class:`multiprocessing.Pool`; on the Table 3 practical sweep the spawn alone
@@ -9,19 +9,10 @@ ships its own derived seed, so results are bit-identical for any pool
 lifetime, submission order or worker count — the determinism suite asserts
 exactly that across back-to-back studies on one pool.
 
-:class:`ThreadStudyPool` is the **thread lane**: the same submit/collect
-contract served by threads in the parent process.  Its win is that threads
-share the parent's address space, so the lane skips
-:class:`~repro.runtime.transport.ArrayShipment` entirely: workers read the
-parent's compiled arrays **in place** — no pickling, no shared-memory
-segment, no per-chunk decode, no cross-process result round-trip.  The
-measured-execution hot loop is largely Python and holds the GIL on today's
-CPython, so the lane buys *saved shipping*, not parallel compute — which is
-exactly why ``executor="auto"`` (see :mod:`repro.runtime.chunking`) routes
-only small batches here: on a batch too small to amortise shipping, zero
-shipping wins outright (a free-threaded build would move that crossover
-sharply upward).  Both lanes are bit-identical because the per-task
-seed-derivation contract is lane-independent.
+Batches too small to amortise process shipping run inline in the caller
+rather than on a pool (``executor="auto"``, see
+:func:`repro.runtime.chunking.choose_executor`): the study hot loops hold
+the GIL, so worker threads would only add hand-offs to that inline work.
 """
 
 from __future__ import annotations
@@ -33,10 +24,10 @@ import threading
 from typing import Any, Callable, Iterable, Iterator
 
 #: ``kind`` values a study pool can report (``executor="auto"`` resolves to
-#: ``"process"`` or ``"thread"`` per fan-out — see
+#: in-process or ``"process"`` per fan-out — see
 #: :func:`repro.runtime.chunking.choose_executor`; ``"remote"`` is only ever
 #: an explicit choice, see :mod:`repro.runtime.remote`).
-POOL_KINDS = ("process", "thread", "remote")
+POOL_KINDS = ("process", "remote")
 
 
 class StudyPool:
@@ -44,8 +35,7 @@ class StudyPool:
 
     Tasks submitted here are pickled to worker *processes*; bulk arrays
     should travel through :class:`~repro.runtime.transport.ArrayShipment`
-    rather than the task pickle.  See :class:`ThreadStudyPool` for the
-    shipping-free thread lane with the same contract.
+    rather than the task pickle.
 
     Parameters
     ----------
@@ -54,8 +44,8 @@ class StudyPool:
         slower than running in-process, so the studies never build one).
     """
 
-    #: Which lane this pool serves; dispatch code routes shipping-free
-    #: submissions to ``"thread"`` pools and shipped ones to ``"process"``.
+    #: Which lane this pool serves; dispatch code frames submissions for
+    #: ``"remote"`` pools and ships them through shared memory otherwise.
     kind = "process"
 
     def __init__(self, workers: int) -> None:
@@ -137,26 +127,6 @@ class StudyPool:
         self.close()
 
 
-class ThreadStudyPool(StudyPool):
-    """The thread-lane twin of :class:`StudyPool`: same contract, no shipping.
-
-    Workers are threads of the parent process, so submitted jobs receive
-    their arguments **by reference** — compiled programs, chunk seeds and
-    result lists cross no process boundary and are never pickled.  On
-    CPython the measured hot loop holds the GIL, so the lane's value is the
-    shipping it *doesn't* do, not parallel compute; for small batches that
-    saved shipping dwarfs the lost overlap, which is exactly when
-    ``executor="auto"`` selects this lane.  The per-task seed-derivation
-    contract is untouched, so results are bit-identical to the process lane
-    and the inline path.
-    """
-
-    kind = "thread"
-
-    def _make_pool(self) -> multiprocessing.pool.Pool:
-        return multiprocessing.pool.ThreadPool(processes=self._workers)
-
-
 #: Serialises pool creation/replacement: two threads racing get_pool() must
 #: not each build (and half-leak) a pool for the same lane.
 _pools_lock = threading.Lock()
@@ -172,9 +142,9 @@ def get_pool(
 ) -> StudyPool:
     """The process-wide persistent pool of one lane, created on first use.
 
-    One pool per ``kind`` (``"process"`` — the default — ``"thread"`` or
-    ``"remote"``) is kept alive for the life of the process.  An alive pool
-    with at least ``workers`` workers is reused as-is (chunking decisions
+    One pool per ``kind`` (``"process"`` — the default — or ``"remote"``)
+    is kept alive for the life of the process.  An alive pool with at
+    least ``workers`` workers is reused as-is (chunking decisions
     use the *requested* count, so results never depend on the pool that
     happens to serve them); asking for more workers than the current pool
     has replaces it.
@@ -209,8 +179,7 @@ def get_pool(
         if pool is None or not pool.alive or pool.workers < workers:
             if pool is not None:
                 pool.close()
-            pool_class = ThreadStudyPool if kind == "thread" else StudyPool
-            pool = pool_class(workers)
+            pool = StudyPool(workers)
             _global_pools[kind] = pool
         return pool
 

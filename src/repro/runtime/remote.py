@@ -1,16 +1,16 @@
 """The distributed executor lane: shard studies across machines.
 
-The runtime's other two lanes place work inside one process tree — threads
-(:class:`~repro.runtime.pool.ThreadStudyPool`) and local processes
-(:class:`~repro.runtime.pool.StudyPool`).  This module adds the third
-``kind``: a :class:`RemoteStudyPool` (``executor="remote"``) that serves the
+The runtime's local lanes place work inside one process tree — inline in
+the parent, or on local processes (:class:`~repro.runtime.pool.StudyPool`).
+This module adds the remote ``kind``: a :class:`RemoteStudyPool`
+(``executor="remote"``) that serves the
 exact submit/collect contract of :class:`~repro.runtime.pool.StudyPool`, but
 sends each chunk over a socket to a standalone **worker agent** —
 ``repro-bcast worker serve --bind HOST:PORT --workers N`` — where the agent
 fans it out over its own local process pool.  Because every task derives its
 own seed, sharding a study over any number of agents, in any join order,
 with any mid-run agent loss, is bit-identical to the inline path — the same
-invariant the thread and process lanes already carry, extended across
+invariant the inline and process lanes already carry, extended across
 machines.
 
 **Topology.**  One coordinator (the study process), N agents.  Agents are

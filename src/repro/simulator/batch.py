@@ -30,20 +30,16 @@ programs in one pass instead:
   which is how back-to-back collective pipelines (scatter→all-to-all,
   repeated broadcasts) are measured as one workload.
 
-Worker fan-out goes through the runtime layer and has two lanes.  On the
-**process lane** the batch is compiled **once in the parent**, the compiled
-arrays ship to the persistent :class:`~repro.runtime.pool.StudyPool` via
-shared memory (:mod:`repro.runtime.transport`; pickle fallback), and each
-worker executes a chain-respecting slice against zero-copy views.  On the
-**thread lane** (:class:`~repro.runtime.pool.ThreadStudyPool`) workers are
-threads of the parent and read the compiled arrays in place — no shipment,
-no pickling, no result round-trip — which beats process fan-out whenever
-the batch is too small to amortise shipping (the hot loop holds the GIL, so
-the lane trades parallel compute for zero shipping); ``executor="auto"``
-picks the lane per call from the batch's estimated cost
-(:mod:`repro.runtime.chunking`).  Worker chunks are
-sized from per-task cost (message counts) rather than task counts, so a
-mixed scatter/all-to-all workload balances across workers.
+Worker fan-out goes through the runtime layer.  On the **process lane** the
+batch is compiled **once in the parent**, the compiled arrays ship to the
+persistent :class:`~repro.runtime.pool.StudyPool` via shared memory
+(:mod:`repro.runtime.transport`; pickle fallback), and each worker executes
+a chain-respecting slice against zero-copy views.  A batch too small to
+amortise that shipping runs inline instead: ``executor="auto"`` picks
+inline or the process lane per call from the batch's estimated cost
+(:mod:`repro.runtime.chunking`).  Worker chunks are sized from per-task
+cost (message counts) rather than task counts, so a mixed
+scatter/all-to-all workload balances across workers.
 
 The scalar :func:`~repro.simulator.execution.execute_program` remains the
 reference engine: ``engine="scalar"`` runs it program by program on
@@ -899,23 +895,6 @@ def _execute_shipped_chunk(args) -> tuple[int, list[ExecutionResult], float]:
     return start, results, time.perf_counter() - started
 
 
-def _execute_compiled_chunk(args) -> tuple[int, list[ExecutionResult], float]:
-    """Thread-lane adapter: execute already-compiled tasks, no shipment.
-
-    Thread workers share the parent's address space, so the job carries the
-    parent's compiled programs by reference — nothing is packed, pickled or
-    rebuilt — and per-task seeds make the results bit-identical to every
-    other lane.
-    """
-    (start, compiled, seeds, resets, sigma, overhead, collect_traces,
-     num_nodes) = args
-    started = time.perf_counter()
-    results = _run_task_sequence(
-        compiled, seeds, resets, sigma, overhead, collect_traces, num_nodes
-    )
-    return start, results, time.perf_counter() - started
-
-
 def _execute_with_runtime_pool(
     grid: Grid,
     tasks: list[ExecutionTask],
@@ -993,12 +972,11 @@ def _execute_scalar_with_pool(
     pool,
     kind: str,
 ) -> list[ExecutionResult]:
-    """Scalar-engine fan-out over the persistent pool of either lane.
+    """Scalar-engine fan-out over the persistent pool of ``kind``.
 
     The scalar reference engine executes task slices directly (no compiled
-    arrays to ship), so both lanes dispatch the same jobs: the process pool
-    pickles them, the thread pool passes them by reference.  Per-task seeds
-    keep the results bit-identical to the inline loop.
+    arrays to ship), so the pool receives the pickled tasks themselves.
+    Per-task seeds keep the results bit-identical to the inline loop.
     """
     from repro.runtime.chunking import program_cost
     from repro.runtime.pool import get_pool
@@ -1012,54 +990,6 @@ def _execute_scalar_with_pool(
     ]
     results: list[ExecutionResult | None] = [None] * len(tasks)
     for start, values in study_pool.imap_unordered(_execute_pickled_chunk, jobs):
-        results[start : start + len(values)] = values
-    return results  # type: ignore[return-value]
-
-
-def _execute_with_thread_pool(
-    grid: Grid,
-    tasks: list[ExecutionTask],
-    config: NetworkConfig,
-    collect_traces: bool,
-    worker_count: int,
-    pool,
-) -> list[ExecutionResult]:
-    """Thread lane: no shipment — workers read the parent's arrays in place.
-
-    The batch compiles once in the parent and each thread receives a slice
-    of the compiled list by reference (a :class:`ThreadPool` never pickles).
-    Per-task seeds keep the results bit-identical to the process lane and
-    the inline path.
-    """
-    from repro.runtime.chunking import compiled_cost
-    from repro.runtime.pool import get_pool
-
-    study_pool = pool if pool is not None else get_pool(worker_count, kind="thread")
-    results: list[ExecutionResult | None] = [None] * len(tasks)
-    compiler = _BatchCompiler(grid, collect_traces)
-    compiled = [compiler.compile(task) for task in tasks]
-    costs = [compiled_cost(prog) for prog in compiled]
-    bounds = _chunk_bounds(tasks, costs, worker_count)
-    seeds = _task_seeds(tasks, config)
-    resets = [task.reset_network for task in tasks]
-    pending = [
-        study_pool.submit(
-            _execute_compiled_chunk,
-            (
-                start,
-                compiled[start:end],
-                seeds[start:end],
-                resets[start:end],
-                config.noise_sigma,
-                config.receive_overhead,
-                collect_traces,
-                grid.num_nodes,
-            ),
-        )
-        for start, end in bounds
-    ]
-    for handle in pending:
-        start, values, _ = handle.get()
         results[start : start + len(values)] = values
     return results  # type: ignore[return-value]
 
@@ -1102,24 +1032,21 @@ def execute_programs(
         ``"batched"`` (default) or ``"scalar"`` — the scalar reference loop
         used by the equivalence suite and as the benchmark baseline.
     executor:
-        Which fan-out lane to use: ``"thread"``
-        (:class:`~repro.runtime.pool.ThreadStudyPool` — no shipping, workers
-        read the parent's compiled arrays in place), ``"process"``
+        Which fan-out lane to use: ``"process"``
         (:class:`~repro.runtime.pool.StudyPool`; compiled arrays ship
         through shared memory, pickle where it is unavailable), ``"remote"``
         (:class:`~repro.runtime.remote.RemoteStudyPool` — chunks shipped
         over sockets to worker agents, see ``hosts``), or ``"auto"`` —
-        threads when the batch's total estimated cost is too small to
+        inline when the batch's total estimated cost is too small to
         amortise shipping, processes otherwise (never remote).  ``None``
         consults the ``REPRO_EXECUTOR`` environment variable, then defaults
         to ``"auto"``.  All lanes are bit-identical.  The batched engine
         compiles once in the parent and reuses the persistent runtime pool;
-        the scalar engine fans task slices out over the persistent pool of
-        either local lane.  Worker chunks are sized from per-task cost
-        (program message counts) so mixed workloads balance.
+        the scalar engine fans task slices out over the same pool.  Worker
+        chunks are sized from per-task cost (program message counts) so
+        mixed workloads balance.
     pool:
         An explicit :class:`~repro.runtime.pool.StudyPool` /
-        :class:`~repro.runtime.pool.ThreadStudyPool` /
         :class:`~repro.runtime.remote.RemoteStudyPool` to submit to
         (defaults to the process-wide persistent pool of the chosen lane).
         A passed pool's ``kind`` decides the lane, overriding ``executor``.
@@ -1174,18 +1101,15 @@ def execute_programs(
                     "auto",
                     sum(program_cost(task.program) for task in normalized),
                 )
-        if engine == "scalar":
-            return _execute_scalar_with_pool(
-                grid, normalized, config, collect_traces, worker_count, pool,
-                lane,
-            )
-        if lane == "thread":
-            return _execute_with_thread_pool(
+        if lane != "inline":
+            if engine == "scalar":
+                return _execute_scalar_with_pool(
+                    grid, normalized, config, collect_traces, worker_count,
+                    pool, lane,
+                )
+            return _execute_with_runtime_pool(
                 grid, normalized, config, collect_traces, worker_count, pool
             )
-        return _execute_with_runtime_pool(
-            grid, normalized, config, collect_traces, worker_count, pool
-        )
 
     runner = _execute_batch if engine == "batched" else _execute_scalar
     return runner(grid, normalized, config, collect_traces)

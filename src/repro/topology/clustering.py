@@ -17,16 +17,15 @@ method is:
    clusters in Table 3).
 
 We implement this as a deterministic agglomerative procedure over the full
-node-to-node latency matrix, using networkx connected components over the
-graph of "compatible" pairs followed by a refinement step that enforces the
-tolerance within every group.
+node-to-node latency matrix: connected components of the graph of
+"compatible" pairs (a union-find over the pairs), followed by a refinement
+step that enforces the tolerance within every group.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-import networkx as nx
 import numpy as np
 
 from repro.utils.validation import check_probability
@@ -118,8 +117,7 @@ def identify_logical_clusters(
         off_diagonal = np.delete(matrix[index], index)
         best_latency[index] = off_diagonal.min() if off_diagonal.size else 0.0
 
-    graph = nx.Graph()
-    graph.add_nodes_from(range(count))
+    parent = list(range(count))
     for i in range(count):
         for j in range(i + 1, count):
             latency = matrix[i, j]
@@ -127,20 +125,22 @@ def identify_logical_clusters(
                 continue
             reference = max(min(best_latency[i], best_latency[j]), 1e-12)
             if latency <= reference * (1.0 + tolerance):
-                graph.add_edge(i, j, latency=latency)
+                parent[_find(parent, j)] = _find(parent, i)
 
     # Step 2: connected components are candidate clusters; refine each one so
     # that *all* pairwise latencies respect the tolerance with respect to the
     # component's minimum latency, splitting off outliers into their own
     # clusters (this is what isolates the single-machine IDPOT nodes, whose
     # 242 µs mutual latency violates ρ = 30 % of the 60 µs reference).
+    components: dict[int, list[int]] = {}
+    for node in range(count):
+        components.setdefault(_find(parent, node), []).append(node)
     clusters: list[list[int]] = []
-    for component in nx.connected_components(graph):
-        members = sorted(component)
+    for members in components.values():
         clusters.extend(_refine_component(matrix, members, tolerance))
 
-    # Machines with no compatible peer at all become singletons via empty
-    # components handled above (they are isolated nodes in the graph).
+    # Machines with no compatible peer at all are their own root, so they
+    # become singleton components above.
 
     result: list[LogicalCluster] = []
     for members in clusters:
@@ -154,6 +154,14 @@ def identify_logical_clusters(
         result.append(LogicalCluster(members=members_tuple, reference_latency=reference))
     result.sort(key=lambda c: (-c.size, c.members[0]))
     return result
+
+
+def _find(parent: list[int], node: int) -> int:
+    """Union-find root of ``node``, halving the path on the way up."""
+    while parent[node] != node:
+        parent[node] = parent[parent[node]]
+        node = parent[node]
+    return node
 
 
 def _refine_component(

@@ -5,7 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-import networkx as nx
 import numpy as np
 
 from repro.model.plogp import GapFunction, PLogPParameters
@@ -246,37 +245,6 @@ class Grid:
             )
         link = self.link(node_a.cluster_id, node_b.cluster_id)
         return PLogPParameters(latency=link.latency, gap=link.gap, num_procs=2)
-
-    # -- conversions ---------------------------------------------------------------
-
-    def to_networkx(self, message_size: float = 1_048_576.0) -> nx.Graph:
-        """Export the cluster-level topology as a weighted :mod:`networkx` graph.
-
-        Nodes are cluster indices carrying ``size``, ``name`` and
-        ``broadcast_time`` attributes; edges carry ``latency``, ``gap`` and
-        ``transfer_time`` evaluated at ``message_size``.  Handy for
-        visualisation and for sanity checks with networkx's own tree
-        algorithms.
-        """
-        graph = nx.Graph(name=self.name)
-        for cluster in self._clusters:
-            graph.add_node(
-                cluster.cluster_id,
-                name=cluster.name,
-                size=cluster.size,
-                broadcast_time=cluster.broadcast_time(message_size),
-            )
-        for i in range(self.num_clusters):
-            for j in range(i + 1, self.num_clusters):
-                link = self.link(i, j)
-                graph.add_edge(
-                    i,
-                    j,
-                    latency=link.latency,
-                    gap=link.gap(message_size),
-                    transfer_time=link.transfer_time(message_size),
-                )
-        return graph
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

@@ -17,8 +17,9 @@ resolution order is:
 Worker counts only change *where* work runs, never *what* it computes: every
 task carries its own derived seed, so results are bit-identical at any count.
 
-The companion knob — *which lane* those workers run on (threads or
-processes) — resolves separately through
+The companion knob — *which lane* those workers run on (inline for small
+batches under ``auto``, local processes, or remote agents) — resolves
+separately through
 :func:`repro.runtime.chunking.resolve_executor` and its ``REPRO_EXECUTOR``
 environment variable; ``resolve_workers`` only decides how many.
 """

@@ -169,7 +169,7 @@ class TestParser:
 
 
 class TestExecutorFlag:
-    def test_simulate_with_thread_executor(self, capsys):
+    def test_simulate_with_auto_executor(self, capsys):
         assert (
             main(
                 [
@@ -183,14 +183,14 @@ class TestExecutorFlag:
                     "--workers",
                     "2",
                     "--executor",
-                    "thread",
+                    "auto",
                 ]
             )
             == 0
         )
         assert "Mean completion time" in capsys.readouterr().out
 
-    def test_practical_with_thread_executor(self, capsys):
+    def test_practical_with_auto_executor(self, capsys):
         assert (
             main(
                 [
@@ -202,7 +202,7 @@ class TestExecutorFlag:
                     "--workers",
                     "2",
                     "--executor",
-                    "thread",
+                    "auto",
                 ]
             )
             == 0
@@ -212,6 +212,12 @@ class TestExecutorFlag:
     def test_unknown_executor_rejected(self):
         with pytest.raises(SystemExit):
             main(["practical", "--executor", "carrier-pigeon"])
+
+    @pytest.mark.parametrize("command", ["simulate", "practical", "chain", "gossip"])
+    def test_thread_executor_rejected(self, command, capsys):
+        with pytest.raises(SystemExit):
+            main([command, "--executor", "thread"])
+        assert "invalid choice: 'thread'" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "argv",

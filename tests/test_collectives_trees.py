@@ -104,10 +104,19 @@ class TestQueries:
         tree = binomial_tree(4)
         assert tree.edges()[0] == (0, 1)
 
-    def test_networkx_export_is_arborescence(self):
-        import networkx as nx
-
-        graph = binomial_tree(16).to_networkx()
-        assert graph.number_of_nodes() == 16
-        assert graph.number_of_edges() == 15
-        assert nx.is_arborescence(graph)
+    def test_tree_is_arborescence(self):
+        """Every non-root participant has exactly one parent and is
+        reachable from the root."""
+        tree = binomial_tree(16)
+        parents = {}
+        for parent, child in tree.edges():
+            assert child != 0 and child not in parents
+            parents[child] = parent
+        assert sorted(parents) == list(range(1, 16))
+        reached, frontier = {0}, [0]
+        while frontier:
+            node = frontier.pop()
+            for child in tree.children[node]:
+                reached.add(child)
+                frontier.append(child)
+        assert reached == set(range(16))

@@ -741,7 +741,7 @@ class TestSchedulingDeterminism:
     @settings(max_examples=6, deadline=None)
     def test_executor_lane_and_chunking_never_change_a_study(self, seed, workers):
         """The fan-out machinery is pure plumbing: any worker count (which
-        changes the chunk partition) through the thread lane reproduces the
+        changes the chunk partition) through the process lane reproduces the
         in-process study bit for bit."""
         config = SimulationStudyConfig(
             cluster_counts=(3, 5),
@@ -750,7 +750,7 @@ class TestSchedulingDeterminism:
             heuristics=("fef", "ecef_la"),
         )
         inline = run_simulation_study(config)
-        fanned = run_simulation_study(config, workers=workers, executor="thread")
+        fanned = run_simulation_study(config, workers=workers, executor="process")
         assert np.array_equal(inline.makespans, fanned.makespans)
         assert inline.heuristic_names == fanned.heuristic_names
 
@@ -832,7 +832,7 @@ class TestGossipProperties:
     @settings(max_examples=6, deadline=None)
     def test_seed_worker_and_chunking_invariance_of_studies(self, seed, workers):
         """Fan-out plumbing never changes a gossip study: any worker count
-        (hence any chunk partition) through the thread lane reproduces the
+        (hence any chunk partition) through the process lane reproduces the
         in-process study bit for bit, and the same seed reproduces the
         same study."""
         config = GossipStudyConfig(
@@ -843,7 +843,64 @@ class TestGossipProperties:
             seed=seed,
         )
         inline = run_gossip_study(config)
-        fanned = run_gossip_study(config, workers=workers, executor="thread")
+        fanned = run_gossip_study(config, workers=workers, executor="process")
         repeated = run_gossip_study(config)
         assert np.array_equal(inline.metrics, fanned.metrics)
         assert np.array_equal(inline.metrics, repeated.metrics)
+
+
+# ---------------------------------------------------------------------------
+# logical-cluster identification (repro.topology.clustering)
+# ---------------------------------------------------------------------------
+
+from repro.topology.clustering import _refine_component, identify_logical_clusters
+
+#: A few LAN latencies (so ties and near-ties are common) and one WAN value.
+_CLUSTER_LATENCIES = (2e-5, 3e-5, 4e-5, 6e-5, 1e-4, 2e-4, 5e-3)
+
+
+@st.composite
+def symmetric_latency_matrices(draw):
+    count = draw(st.integers(min_value=1, max_value=10))
+    matrix = np.zeros((count, count))
+    for i in range(count):
+        for j in range(i + 1, count):
+            matrix[i, j] = matrix[j, i] = draw(st.sampled_from(_CLUSTER_LATENCIES))
+    return matrix
+
+
+class TestClusteringProperties:
+    @given(
+        matrix=symmetric_latency_matrices(),
+        tolerance=st.sampled_from([0.1, 0.3, 0.5]),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_partition_matches_transitive_closure_reference(self, matrix, tolerance):
+        """Components of the compatibility graph, taken from a brute-force
+        transitive closure and refined like the real thing, give exactly
+        the partition ``identify_logical_clusters`` returns."""
+        wan_threshold = 1e-3
+        count = matrix.shape[0]
+        off_diagonal = matrix + np.diag(np.full(count, np.inf))
+        best = off_diagonal.min(axis=1) if count > 1 else np.zeros(1)
+        reference = np.maximum(np.minimum.outer(best, best), 1e-12)
+        reach = (matrix < wan_threshold) & (matrix <= reference * (1.0 + tolerance))
+        reach |= np.eye(count, dtype=bool)
+        while True:
+            closed = (reach.astype(int) @ reach.astype(int)) > 0
+            if np.array_equal(closed, reach):
+                break
+            reach = closed
+        expected = set()
+        for node in range(count):
+            members = [int(other) for other in np.flatnonzero(reach[node])]
+            for group in _refine_component(matrix, members, tolerance):
+                expected.add(tuple(sorted(group)))
+        clusters = identify_logical_clusters(
+            matrix, tolerance=tolerance, wan_threshold=wan_threshold
+        )
+        assert {cluster.members for cluster in clusters} == expected
+        assert sum(cluster.size for cluster in clusters) == count
+        assert clusters == sorted(
+            clusters, key=lambda cluster: (-cluster.size, cluster.members[0])
+        )

@@ -34,7 +34,7 @@ from repro.mpi.bcast import binomial_bcast_program
 from repro.mpi.scatter import flat_scatter_program
 from repro.runtime import wire
 from repro.runtime.chunking import (
-    AUTO_THREAD_MAX_UNITS,
+    AUTO_INLINE_MAX_UNITS,
     CostModel,
     choose_executor,
     partition_by_cost,
@@ -54,7 +54,6 @@ from repro.runtime.faults import (
 )
 from repro.runtime.pool import (
     StudyPool,
-    ThreadStudyPool,
     engage_remote_lane,
     get_pool,
     shutdown_pool,
@@ -107,12 +106,6 @@ def pool():
     pool = get_pool(2)
     yield pool
     shutdown_pool()
-
-
-@pytest.fixture(scope="module")
-def thread_pool():
-    """The persistent thread-lane pool (shutdown_pool tears both lanes down)."""
-    return get_pool(2, kind="thread")
 
 
 def _makespans(results) -> list[float]:
@@ -526,8 +519,8 @@ class TestPipelinedDriver:
             ExecutionTask(program, noise_seed=derive_seed(7, index))
             for index in range(6)
         ]
-        two_workers = ThreadStudyPool(2)
-        try:
+        # A private pool: the persistent one may have grown past 2 workers.
+        with StudyPool(2) as two_workers:
             executor = PipelinedExecutor(grid5000, pool=two_workers)
             big = 10 * pipeline_module.SPLIT_MIN_SECONDS * (
                 executor.cost_model.units_per_second
@@ -540,11 +533,9 @@ class TestPipelinedDriver:
                 (0, 1),
                 (1, 6),
             ]
-        finally:
-            two_workers.close()
 
     def test_cost_cache_env_var_is_ignored(
-        self, grid5000, thread_pool, tmp_path, monkeypatch
+        self, grid5000, pool, tmp_path, monkeypatch
     ):
         """Observed throughput lives only as long as its executor: the old
         on-disk cache variable neither writes a file nor warms a fresh
@@ -552,14 +543,14 @@ class TestPipelinedDriver:
         cache = tmp_path / "costs.json"
         monkeypatch.setenv("REPRO_COST_CACHE", str(cache))
         program = binomial_bcast_program(grid5000, 65_536, root_rank=0)
-        executor = PipelinedExecutor(grid5000, pool=thread_pool)
+        executor = PipelinedExecutor(grid5000, pool=pool)
         executor.submit(
             [ExecutionTask(program, noise_seed=derive_seed(3, i)) for i in range(8)]
         )
         executor.finish()
         assert executor.cost_model.observed
         assert not cache.exists()
-        assert not PipelinedExecutor(grid5000, pool=thread_pool).cost_model.observed
+        assert not PipelinedExecutor(grid5000, pool=pool).cost_model.observed
 
     def test_transport_invariance(self, shipping, pool):
         config = PracticalStudyConfig(**self.CONFIG)
@@ -605,17 +596,13 @@ class TestSimulationStudyLanes:
 
     CONFIG = dict(cluster_counts=(3, 5), iterations=40, seed=23)
 
-    @pytest.mark.parametrize("lane", ["thread", "process"])
-    def test_seed_shipping_matches_inline(self, lane, pool, thread_pool):
+    def test_seed_shipping_matches_inline(self, pool):
         config = SimulationStudyConfig(**self.CONFIG)
         inline = run_simulation_study(config, workers=1)
-        shipped = run_simulation_study(
-            config, workers=2, pool={"thread": thread_pool, "process": pool}[lane]
-        )
+        shipped = run_simulation_study(config, workers=2, pool=pool)
         assert np.array_equal(inline.makespans, shipped.makespans)
 
-    @pytest.mark.parametrize("lane", ["thread", "process"])
-    def test_seed_shipping_with_fallback_heuristic(self, lane, pool, thread_pool):
+    def test_seed_shipping_with_fallback_heuristic(self, pool):
         """A heuristic without a batched kernel schedules grids generated from
         the chunk's seeds next to the drawn stacks; still bit-identical."""
         config = SimulationStudyConfig(
@@ -625,10 +612,28 @@ class TestSimulationStudyLanes:
             heuristics=("ecef", "optimal"),
         )
         inline = run_simulation_study(config, workers=1)
-        shipped = run_simulation_study(
-            config, workers=2, pool={"thread": thread_pool, "process": pool}[lane]
-        )
+        shipped = run_simulation_study(config, workers=2, pool=pool)
         assert np.array_equal(inline.makespans, shipped.makespans)
+
+    def test_small_auto_study_runs_inline_without_a_pool(self, monkeypatch):
+        """Under ``auto`` a study below the inline threshold never touches a
+        pool, and it is bit-identical to the one-worker study."""
+        import repro.experiments.simulation_study as study_module
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("auto created a pool for a small study")
+
+        monkeypatch.setattr(study_module, "get_pool", no_pool)
+        monkeypatch.delenv("REPRO_EXECUTOR", raising=False)
+        config = SimulationStudyConfig(**self.CONFIG)
+        assert (
+            self.CONFIG["iterations"]
+            * sum(n * n for n in self.CONFIG["cluster_counts"])
+            <= AUTO_INLINE_MAX_UNITS
+        )
+        single = run_simulation_study(config, workers=1)
+        auto = run_simulation_study(config, workers=2, executor="auto")
+        assert np.array_equal(single.makespans, auto.makespans)
 
 
 class TestReplicas:
@@ -792,8 +797,8 @@ class TestChunkingUnit:
     def test_resolve_executor_env_fallback(self, monkeypatch):
         monkeypatch.delenv("REPRO_EXECUTOR", raising=False)
         assert resolve_executor(None) == "auto"
-        monkeypatch.setenv("REPRO_EXECUTOR", "thread")
-        assert resolve_executor(None) == "thread"
+        monkeypatch.setenv("REPRO_EXECUTOR", "remote")
+        assert resolve_executor(None) == "remote"
         assert resolve_executor("process") == "process"
         monkeypatch.setenv("REPRO_EXECUTOR", "hamster-wheel")
         with pytest.raises(ValueError, match="executor"):
@@ -801,33 +806,40 @@ class TestChunkingUnit:
 
     def test_choose_executor_splits_on_cost(self, monkeypatch):
         monkeypatch.delenv("REPRO_EXECUTOR", raising=False)
-        assert choose_executor(None, AUTO_THREAD_MAX_UNITS) == "thread"
-        assert choose_executor(None, AUTO_THREAD_MAX_UNITS + 1) == "process"
-        assert choose_executor("thread", 10**9) == "thread"
+        assert choose_executor(None, AUTO_INLINE_MAX_UNITS) == "inline"
+        assert choose_executor("auto", AUTO_INLINE_MAX_UNITS) == "inline"
+        assert choose_executor(None, AUTO_INLINE_MAX_UNITS + 1) == "process"
+        assert choose_executor("process", 1) == "process"
+
+    def test_thread_executor_is_rejected(self, monkeypatch, grid5000):
+        """There is no thread lane: every way of asking for it fails with
+        the error that lists the valid lanes."""
+        monkeypatch.setenv("REPRO_EXECUTOR", "thread")
+        with pytest.raises(ValueError, match="'auto', 'process', 'remote'"):
+            resolve_executor(None)
+        monkeypatch.delenv("REPRO_EXECUTOR")
+        with pytest.raises(ValueError, match="'auto', 'process', 'remote'"):
+            choose_executor("thread", 1)
+        program = binomial_bcast_program(grid5000, 1_024, root_rank=0)
+        with pytest.raises(ValueError, match="'auto', 'process', 'remote'"):
+            execute_programs(grid5000, [program, program], executor="thread")
+        config = SimulationStudyConfig(cluster_counts=(3,), iterations=2)
+        with pytest.raises(ValueError, match="'auto', 'process', 'remote'"):
+            run_simulation_study(config, workers=2, executor="thread")
 
 
-class TestThreadPool:
-    def test_kind_markers(self, pool, thread_pool):
-        assert pool.kind == "process"
-        assert thread_pool.kind == "thread"
-        assert isinstance(thread_pool, ThreadStudyPool)
-
-    def test_get_pool_keeps_lanes_separate(self, pool, thread_pool):
-        assert get_pool(2) is pool
-        assert get_pool(2, kind="thread") is thread_pool
-        assert get_pool(2, kind="thread") is not pool
-
+class TestGetPool:
     def test_get_pool_rejects_unknown_kind(self):
         with pytest.raises(ValueError, match="kind"):
             get_pool(2, kind="fiber")
 
-    def test_thread_pool_passes_arguments_by_reference(self, thread_pool):
-        marker = object()
-        assert thread_pool.submit(lambda value: value, marker).get() is marker
+    def test_get_pool_rejects_thread_kind(self):
+        with pytest.raises(ValueError, match="'process', 'remote'"):
+            get_pool(2, kind="thread")
 
 
 class TestExecutorEquivalence:
-    """Thread vs process vs inline bit-identity on all five study drivers."""
+    """Auto vs process vs inline bit-identity on all five study drivers."""
 
     PRACTICAL = dict(
         message_sizes=(65_536, 1_048_576),
@@ -836,8 +848,8 @@ class TestExecutorEquivalence:
     )
     COLLECTIVE = dict(message_sizes=(2_048, 16_384), noise_sigma=0.05)
 
-    @pytest.mark.parametrize("executor", ["thread", "process"])
-    def test_practical_study(self, executor, pool, thread_pool):
+    @pytest.mark.parametrize("executor", ["auto", "process"])
+    def test_practical_study(self, executor, pool):
         config = PracticalStudyConfig(**self.PRACTICAL)
         inline = run_practical_study(config, workers=0)
         fanned = run_practical_study(config, workers=2, executor=executor)
@@ -845,15 +857,15 @@ class TestExecutorEquivalence:
         assert np.array_equal(inline.baseline_measured, fanned.baseline_measured)
         assert np.array_equal(inline.predicted, fanned.predicted)
 
-    @pytest.mark.parametrize("executor", ["thread", "process"])
-    def test_simulation_study(self, executor, pool, thread_pool):
+    @pytest.mark.parametrize("executor", ["auto", "process"])
+    def test_simulation_study(self, executor, pool):
         config = SimulationStudyConfig(cluster_counts=(3, 4), iterations=24, seed=11)
         inline = run_simulation_study(config)
         fanned = run_simulation_study(config, workers=2, executor=executor)
         assert np.array_equal(inline.makespans, fanned.makespans)
 
-    @pytest.mark.parametrize("executor", ["thread", "process"])
-    def test_scatter_study(self, executor, heterogeneous_grid, pool, thread_pool):
+    @pytest.mark.parametrize("executor", ["auto", "process"])
+    def test_scatter_study(self, executor, heterogeneous_grid, pool):
         config = PracticalStudyConfig(**self.COLLECTIVE)
         inline = run_scatter_study(config, grid=heterogeneous_grid)
         fanned = run_scatter_study(
@@ -861,8 +873,8 @@ class TestExecutorEquivalence:
         )
         assert np.array_equal(inline.measured, fanned.measured)
 
-    @pytest.mark.parametrize("executor", ["thread", "process"])
-    def test_alltoall_study(self, executor, heterogeneous_grid, pool, thread_pool):
+    @pytest.mark.parametrize("executor", ["auto", "process"])
+    def test_alltoall_study(self, executor, heterogeneous_grid, pool):
         config = PracticalStudyConfig(**self.COLLECTIVE)
         inline = run_alltoall_study(config, grid=heterogeneous_grid)
         fanned = run_alltoall_study(
@@ -870,8 +882,8 @@ class TestExecutorEquivalence:
         )
         assert np.array_equal(inline.measured, fanned.measured)
 
-    @pytest.mark.parametrize("executor", ["thread", "process"])
-    def test_chained_study(self, executor, heterogeneous_grid, pool, thread_pool):
+    @pytest.mark.parametrize("executor", ["auto", "process"])
+    def test_chained_study(self, executor, heterogeneous_grid, pool):
         config = PracticalStudyConfig(**self.COLLECTIVE)
         kwargs = dict(grid=heterogeneous_grid, stages=("scatter", "alltoall"))
         inline = run_chained_study(config, **kwargs)
@@ -879,33 +891,18 @@ class TestExecutorEquivalence:
         assert np.array_equal(inline.warm, fanned.warm)
         assert np.array_equal(inline.fresh, fanned.fresh)
 
-    def test_auto_lane_is_bit_identical_too(self, pool, thread_pool):
+    def test_auto_lane_is_bit_identical_too(self, pool):
         config = PracticalStudyConfig(**self.PRACTICAL)
         inline = run_practical_study(config, workers=0)
         auto = run_practical_study(config, workers=2, executor="auto")
         assert np.array_equal(inline.measured, auto.measured)
-
-    def test_explicit_thread_pool_selects_thread_lane(self, grid5000, thread_pool):
-        tasks = [
-            ExecutionTask(
-                binomial_bcast_program(grid5000, 16_384, root_rank=0),
-                noise_seed=derive_seed(7, index),
-            )
-            for index in range(6)
-        ]
-        config = NetworkConfig(noise_sigma=0.05, seed=7)
-        inline = execute_programs(grid5000, tasks, config=config)
-        pooled = execute_programs(grid5000, tasks, config=config, pool=thread_pool)
-        assert _makespans(inline) == _makespans(pooled)
 
     def test_rejects_unknown_executor(self, grid5000):
         program = binomial_bcast_program(grid5000, 1_024, root_rank=0)
         with pytest.raises(ValueError, match="executor"):
             execute_programs(grid5000, [program, program], executor="carrier-pigeon")
 
-    def test_scalar_engine_honours_explicit_pools_of_either_kind(
-        self, grid5000, pool, thread_pool
-    ):
+    def test_scalar_engine_honours_an_explicit_pool(self, grid5000, pool):
         tasks = [
             ExecutionTask(
                 binomial_bcast_program(grid5000, 2_048, root_rank=0),
@@ -915,15 +912,14 @@ class TestExecutorEquivalence:
         ]
         config = NetworkConfig(noise_sigma=0.05, seed=17)
         inline = execute_programs(grid5000, tasks, config=config, engine="scalar")
-        for explicit in (pool, thread_pool):
-            pooled = execute_programs(
-                grid5000, tasks, config=config, engine="scalar", pool=explicit
-            )
-            assert _makespans(pooled) == _makespans(inline)
+        pooled = execute_programs(
+            grid5000, tasks, config=config, engine="scalar", pool=pool
+        )
+        assert _makespans(pooled) == _makespans(inline)
 
-    @pytest.mark.parametrize("executor", ["thread", "process"])
+    @pytest.mark.parametrize("executor", ["auto", "process"])
     def test_scalar_engine_fans_out_on_both_lanes(
-        self, grid5000, executor, pool, thread_pool
+        self, grid5000, executor, pool
     ):
         tasks = [
             ExecutionTask(
@@ -965,8 +961,8 @@ class TestAdaptiveChunking:
         tasks.append(ExecutionTask(expensive, reset_network=False))
         return tasks
 
-    @pytest.mark.parametrize("executor", ["thread", "process"])
-    def test_adaptive_matches_inline(self, grid5000, executor, pool, thread_pool):
+    @pytest.mark.parametrize("executor", ["auto", "process"])
+    def test_adaptive_matches_inline(self, grid5000, executor, pool):
         tasks = self._mixed_tasks(grid5000)
         config = NetworkConfig(noise_sigma=0.08, seed=21)
         inline = execute_programs(grid5000, tasks, config=config)
@@ -1013,11 +1009,11 @@ class TestAdaptiveChunking:
             assert np.array_equal(reference.warm, result.warm)
             assert np.array_equal(reference.fresh, result.fresh)
 
-    def test_pipelined_cost_model_learns_within_study(self, grid5000, thread_pool):
+    def test_pipelined_cost_model_learns_within_study(self, grid5000, pool):
         executor = PipelinedExecutor(
             grid5000,
             config=NetworkConfig(noise_sigma=0.05, seed=3),
-            pool=thread_pool,
+            pool=pool,
         )
         assert not executor.cost_model.observed
         program = binomial_bcast_program(grid5000, 65_536, root_rank=0)
@@ -1216,7 +1212,7 @@ class TestHostsResolution:
         monkeypatch.setitem(pool_module._global_pools, "remote", None)
         # Non-remote executors pass through untouched.
         assert engage_remote_lane(None, None, None, 0, None) == (None, 0)
-        assert engage_remote_lane(None, "thread", None, 4, None) == (None, 4)
+        assert engage_remote_lane(None, "process", None, 4, None) == (None, 4)
         # Remote with no local worker request adopts the agents' capacity.
         pool, workers = engage_remote_lane(None, "remote", None, 0, None)
         assert pool.kind == "remote" and workers == pool.workers == 2

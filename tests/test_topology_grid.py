@@ -151,16 +151,6 @@ class TestNodeLinkParameters:
         assert 0 < params.point_to_point_time(0) <= 0.1
 
 
-class TestNetworkxExport:
-    def test_graph_structure(self):
-        grid = Grid(make_clusters(4), full_links(4))
-        graph = grid.to_networkx()
-        assert graph.number_of_nodes() == 4
-        assert graph.number_of_edges() == 6
-        assert graph.nodes[1]["size"] == 2
-        assert graph.edges[0, 1]["transfer_time"] == pytest.approx(0.21)
-
-
 class TestCompleteLinks:
     def test_builds_upper_triangle(self):
         latencies = [[0, 0.01, 0.02], [0.01, 0, 0.03], [0.02, 0.03, 0]]
